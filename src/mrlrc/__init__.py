@@ -19,6 +19,7 @@ from .mr import (
     erase_decode,
     generator_from_parity,
     verify_mr,
+    verify_mr_structured,
 )
 from .sdss import (
     SubspaceSystem,
@@ -48,4 +49,5 @@ __all__ = [
     "subfield_construct",
     "verify_direct_sum",
     "verify_mr",
+    "verify_mr_structured",
 ]

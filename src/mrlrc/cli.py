@@ -3,8 +3,9 @@
 Subcommands: construct, verify, bounds, encode, decode, sdss.
 Exit codes are a stable contract: 0 success, 1 domain-level negative
 result (verification FAIL, UNDECODABLE), 2 usage or file format error,
-3 enumeration budget exceeded.  Every construction is deterministic, so
-repeated runs produce byte-identical files.
+3 enumeration budget exceeded, 4 internal error (a broken invariant of
+the package, reported in one line).  Every construction is
+deterministic, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _add_tower_args(p):
@@ -209,13 +211,23 @@ def cmd_verify(args) -> int:
     kind = fileio.sniff_kind(text)
     if kind == "mr":
         P = fileio.parse_mr(text)
-        report = mr.verify_mr(P, budget=args.budget, sample=args.sample)
+        if args.sample is None:
+            report = mr.verify_mr_structured(P, budget=args.budget)
+        else:
+            report = mr.verify_mr(P, budget=args.budget, sample=args.sample)
         line = "ok" if report.ok else "FAIL"
         line += f" patterns_checked={report.patterns_checked}"
         if report.sampled is not None:
             line += f" sampled={report.sampled}"
         line += f" elapsed={report.elapsed:.3f}s"
         print(line)
+        if args.verbose:
+            # a counterexample always comes from the dense walk
+            dense = args.sample is not None or report.first_failure is not None
+            checks = report.patterns_checked if report.checks is None else report.checks
+            print(f"# verify mode={'dense' if dense else 'structured'} "
+                  f"checks={checks} patterns_covered={report.patterns_checked}",
+                  file=sys.stderr)
         if not report.ok:
             print(f"reason: {report.reason}")
             if report.first_failure is not None:
@@ -224,15 +236,16 @@ def cmd_verify(args) -> int:
             return EXIT_NEGATIVE
         return EXIT_OK
     if kind == "sdss":
+        if args.sample is not None:
+            raise ParameterError("--sample applies to .mr files; a subspace "
+                                 "system is always verified exhaustively")
         S = fileio.parse_sdss(text)
         from time import perf_counter
 
         t0 = perf_counter()
-        ok = sdss.verify_direct_sum(S, budget=args.budget)
-        from math import comb
-
-        checked = comb(S.n, S.h)
-        print(f"{'ok' if ok else 'FAIL'} patterns_checked={checked} "
+        stats = {}
+        ok = sdss.verify_direct_sum(S, budget=args.budget, stats=stats)
+        print(f"{'ok' if ok else 'FAIL'} patterns_checked={stats['subsets_checked']} "
               f"elapsed={perf_counter() - t0:.3f}s")
         return EXIT_OK if ok else EXIT_NEGATIVE
     raise FormatError(f"cannot verify a file of kind {kind!r}")
@@ -309,6 +322,9 @@ def main(argv=None) -> int:
     except MrlrcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

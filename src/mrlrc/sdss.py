@@ -66,18 +66,25 @@ class SubspaceSystem:
         return f"SubspaceSystem(q={self.tower.q}, n={self.n}, m={self.m}, r={self.r}, h={self.h}, {flag})"
 
 
-def verify_direct_sum(S: SubspaceSystem, budget: int | None = None) -> bool:
+def verify_direct_sum(S: SubspaceSystem, budget: int | None = None,
+                      stats: dict | None = None) -> bool:
     """True iff every group has rank r and every h-subset of groups
-    stacks to rank h*r.  Exhausts all C(n, h) subsets."""
+    stacks to rank h*r.  Exhausts all C(n, h) subsets, stopping at the
+    first dependent one; when `stats` is given, its "subsets_checked"
+    entry is set to the number of h-subsets rank-checked."""
     total = comb(S.n, S.h)
     if total > config.subset_budget(budget):
         raise BudgetError(f"{total} subsets exceed the enumeration budget")
+    if stats is None:
+        stats = {}
+    stats["subsets_checked"] = 0
     F = S.tower.field("mid")
     for group in S.basis:
         if _rank_rows(F, group) != S.r:
             return False
     for sel in combinations(range(S.n), S.h):
         stacked = [v for i in sel for v in S.basis[i]]
+        stats["subsets_checked"] += 1
         if _rank_rows(F, stacked) != S.h * S.r:
             return False
     return True

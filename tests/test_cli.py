@@ -204,3 +204,82 @@ def test_seedless_flag_accepted(tmp_path, capsys):
                      "--delta", "1", "--n", "3", "--seedless",
                      "--out", str(tmp_path / "c.mr"))
     assert code == 0
+
+
+def _corrupt_copy(tmp_path, capsys):
+    """A README-shaped code whose second Moore block copies the first."""
+    from mrlrc.mr import MrParityCheck
+
+    out = tmp_path / "c.mr"
+    run(capsys, "construct", "--p", "2", "--r", "3", "--h", "2", "--delta", "1",
+        "--n", "5", "--out", str(out))
+    P = fileio.parse_mr(out.read_text())
+    bad = tmp_path / "bad.mr"
+    bad.write_text(fileio.format_mr(MrParityCheck(P.spec, P.A, [P.D[0], P.D[0]] + P.D[2:])))
+    return out, bad
+
+
+def _without_elapsed(text):
+    return [line.rsplit(" elapsed=", 1)[0] for line in text.splitlines()]
+
+
+def test_verify_verbose_reports_mode_on_stderr(tmp_path, capsys):
+    out, bad = _corrupt_copy(tmp_path, capsys)
+    cases = (
+        ((), 0, "# verify mode=structured checks=95 patterns_covered=10935"),
+        (("--sample", "200"), 0, "# verify mode=dense checks=203 patterns_covered=203"),
+    )
+    for extra, want, line in cases:
+        code, quiet, err = run(capsys, "verify", "--in", str(out), *extra)
+        assert (code, err) == (want, "")
+        code, loud, err = run(capsys, "verify", "--in", str(out), *extra, "-v")
+        assert code == want
+        assert _without_elapsed(loud) == _without_elapsed(quiet)
+        assert err.splitlines() == [line]
+    code, quiet, _ = run(capsys, "verify", "--in", str(bad))
+    code, loud, err = run(capsys, "verify", "--in", str(bad), "-v")
+    assert code == 1 and loud.startswith("FAIL patterns_checked=2 ")
+    assert _without_elapsed(loud) == _without_elapsed(quiet)
+    # the structured checks that found the failure plus the dense walk's 2
+    [line] = err.splitlines()
+    assert line.startswith("# verify mode=dense checks=")
+    assert line.endswith(" patterns_covered=2")
+    assert int(line.split("checks=")[1].split()[0]) > 2
+
+
+def test_verify_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    from mrlrc import mr
+
+    _, bad = _corrupt_copy(tmp_path, capsys)
+    # a dense walk that wrongly accepts trips the disagreement assertion
+    monkeypatch.setattr(mr, "verify_mr", lambda P, budget=None, sample=None:
+                        mr.VerifyReport(True, 1, None, None, 0.0))
+    code, stdout, err = run(capsys, "verify", "--in", str(bad))
+    assert code == 4
+    assert stdout == ""
+    assert err.startswith("error: internal: ") and len(err.splitlines()) == 1
+
+
+def test_verify_sdss_counts_subsets_until_failure(tmp_path, capsys):
+    from mrlrc.sdss import SubspaceSystem
+
+    out = tmp_path / "s.sdss"
+    run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5", "--out", str(out))
+    code, stdout, _ = run(capsys, "verify", "--in", str(out))
+    assert code == 0 and stdout.startswith("ok patterns_checked=10 ")
+    S = fileio.parse_sdss(out.read_text())
+    basis = list(S.basis)
+    basis[2] = basis[1]  # (0,1), (0,2), (0,3), (0,4) pass; (1,2) is dependent
+    bad = tmp_path / "bad.sdss"
+    bad.write_text(fileio.format_sdss(
+        SubspaceSystem(S.tower, S.n, S.r, S.h, basis, certified=True)))
+    code, stdout, _ = run(capsys, "verify", "--in", str(bad))
+    assert code == 1 and stdout.startswith("FAIL patterns_checked=5 ")
+
+
+def test_verify_sdss_rejects_sample(tmp_path, capsys):
+    out = tmp_path / "s.sdss"
+    run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5", "--out", str(out))
+    code, stdout, err = run(capsys, "verify", "--in", str(out), "--sample", "3")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --sample") and len(err.splitlines()) == 1
