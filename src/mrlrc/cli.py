@@ -2,9 +2,10 @@
 
 Subcommands: construct, verify, bounds, encode, decode, sdss.
 Exit codes are a stable contract: 0 success, 1 domain-level negative
-result (verification FAIL, UNDECODABLE), 2 usage or file format error,
-3 enumeration budget exceeded, 4 internal error (a broken invariant of
-the package, reported in one line).  Every construction is
+result (verification FAIL, UNDECODABLE), 2 usage, file format or
+file access error, 3 enumeration budget exceeded, 4 internal error (a
+broken invariant of the package or any other unexpected exception,
+reported in one line).  Every construction is
 deterministic, so repeated runs produce byte-identical files.
 """
 
@@ -158,11 +159,11 @@ def _parse_inner(spec: str, tower):
     raise ParameterError(f"unknown inner code kind {kind!r}")
 
 
-def _summary(spec: mr.MrCodeSpec, args, certified: bool) -> str:
+def _summary(spec: mr.MrCodeSpec, args, S) -> str:
     return (
         f"N={spec.N} r={spec.r} h={spec.h} delta={spec.delta} "
         f"ell={spec.tower.q}^{spec.tower.m} method={args.method} "
-        f"certified={1 if certified else 0}"
+        f"certified={fileio.certified_flag(S)}"
     )
 
 
@@ -189,7 +190,7 @@ def cmd_construct(args) -> int:
     sdss_path = args.sdss_out or (args.out + ".sdss")
     Path(sdss_path).write_text(fileio.format_sdss(S))
     Path(args.out).write_text(fileio.format_mr(P))
-    print(_summary(spec, args, S.certified))
+    print(_summary(spec, args, S))
     print(f"# tower {tower_line(spec.tower)}")
     if args.verbose:
         print(f"# wrote {args.out} and {sdss_path}")
@@ -201,7 +202,7 @@ def cmd_sdss(args) -> int:
     Path(args.out).write_text(fileio.format_sdss(S))
     print(
         f"n={S.n} r={S.r} h={S.h} m={S.m} q={S.tower.q} "
-        f"certified={1 if S.certified else 0}"
+        f"certified={fileio.certified_flag(S)}"
     )
     return EXIT_OK
 
@@ -310,19 +311,10 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParameterError, FormatError) as exc:
+    except (MrlrcError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MrlrcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AssertionError as exc:
+    except Exception as exc:  # a broken invariant, AssertionError included
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -8,12 +8,12 @@ codebook fits the configured budget.
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 
 from . import config
 from .errors import BudgetError, ParameterError
 from .gf import Field, FieldTower, make_tower
-from .linalg import FieldMatrix, kernel, rank, rref, _rank_rows
+from .linalg import FieldMatrix, first_dependent_subset, kernel, rank, rref
 
 
 class LinearCode:
@@ -393,16 +393,9 @@ def block_distance_at_least(B: BlockCode, t: int, budget: int | None = None) -> 
     if t == 0:
         return True
     n, r = B.n_blocks, B.block_size
-    total = 1
-    for i in range(t):
-        total = total * (n - i) // (i + 1)
+    total = comb(n, t)
     if total > config.subset_budget(budget):
         raise BudgetError(f"{total} block subsets exceed the budget")
     H = B.code.parity_matrix()
-    cols = [H.column(j) for j in range(H.cols)]
-    F = B.code.field()
-    for sel in combinations(range(n), t):
-        chosen = [cols[b * r + j] for b in sel for j in range(r)]
-        if _rank_rows(F, chosen) != t * r:
-            return False
-    return True
+    blocks = [[H.column(b * r + j) for j in range(r)] for b in range(n)]
+    return first_dependent_subset(B.code.field(), blocks, t)[0] is None

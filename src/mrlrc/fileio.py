@@ -123,9 +123,15 @@ def parse_code(text: str) -> BlockCode:
 # -- subspace systems -------------------------------------------------------
 
 
+def certified_flag(S: SubspaceSystem) -> int:
+    """1 only for a system certified by an exhaustive check: the flag
+    cannot say how many subsets a sampled certification tried."""
+    return 1 if S.certified and S.certified_sample is None else 0
+
+
 def format_sdss(S: SubspaceSystem) -> str:
     out = [SDSS_MAGIC, tower_line(S.tower),
-           f"n={S.n} r={S.r} h={S.h} m={S.m} certified={1 if S.certified else 0}"]
+           f"n={S.n} r={S.r} h={S.h} m={S.m} certified={certified_flag(S)}"]
     for group in S.basis:
         for v in group:
             out.append(" ".join(str(c) for c in v))

@@ -1,14 +1,18 @@
 """Dense exact linear algebra over one level of a field tower.
 
-Matrices are immutable row-major lists of int element codes.  Everything
-here is plain Gaussian elimination with deterministic pivoting (first
-nonzero entry per column, columns scanned left to right), which is all
-the desk-scale constructions need.
+Matrices are immutable row-major lists of int element codes.  One
+Gaussian elimination kernel, `_echelonize` (deterministic pivoting:
+first nonzero entry per column, columns scanned left to right), is
+behind `rref`, `rank`, `solve`, `kernel`, `det` and every rank check in
+the package.  `first_dependent_subset` is the package's one walk over
+the k-subsets of groups of rows that must stay independent: MDS column
+checks, direct sums of subspaces, block distances.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .errors import ParameterError
 from .gf import Field, FieldTower
@@ -96,37 +100,74 @@ class FieldMatrix:
 
 
 def _echelonize(F: Field, work: list[list[int]], reduced: bool = True) -> list[int]:
-    """In-place Gaussian elimination; returns the pivot column list."""
+    """In-place Gaussian elimination; returns the pivot column list.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row, and rows are swapped as objects, never copied.  With
+    `reduced` the result is the reduced row-echelon form.  Without it
+    only the rows below each pivot are cleared and pivot rows keep their
+    values, so a square matrix ends upper triangular with the pivots on
+    its diagonal.  Binary extension fields with log/exp tables run on
+    table lookups and XOR instead of Field calls.
+    """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
-    sub, mul, inv = F.sub, F.mul, F.inv
+    tables = F.tables() if F.char == 2 else None
+    if tables is not None:
+        exp, log = tables
+        n1 = F.size - 1
+    else:
+        sub, mul, inv = F.sub, F.mul, F.inv
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                piv = i
+        for piv in range(r, nrows):
+            if work[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        f = inv(prow[c])
-        if f != 1:
-            for t in range(c, ncols):
-                if prow[t]:
-                    prow[t] = mul(f, prow[t])
+        prow = work[piv]
+        work[piv] = work[r]
+        work[r] = prow
         lo = 0 if reduced else r + 1
-        for i in range(lo, nrows):
-            if i == r:
-                continue
-            row = work[i]
-            g = row[c]
-            if g:
+        if tables is not None:
+            pl = log[prow[c]]
+            if reduced and pl:
+                s = n1 - pl
                 for t in range(c, ncols):
                     if prow[t]:
-                        row[t] = sub(row[t], mul(g, prow[t]))
+                        prow[t] = exp[log[prow[t]] + s]
+                pl = 0
+            for i in range(lo, nrows):
+                row = work[i]
+                g = row[c]
+                if g and i != r:
+                    # exp has 2*n1 entries and period n1, so exp[log[v] + s]
+                    # is (g / pivot) * v even where the index is negative
+                    s = log[g] - pl
+                    row[c] = 0
+                    for t in range(c + 1, ncols):
+                        v = prow[t]
+                        if v:
+                            row[t] ^= exp[log[v] + s]
+        else:
+            f = inv(prow[c])
+            if reduced and f != 1:
+                for t in range(c, ncols):
+                    if prow[t]:
+                        prow[t] = mul(f, prow[t])
+                f = 1
+            for i in range(lo, nrows):
+                row = work[i]
+                g = row[c]
+                if g and i != r:
+                    if f != 1:
+                        g = mul(g, f)
+                    row[c] = 0
+                    for t in range(c + 1, ncols):
+                        v = prow[t]
+                        if v:
+                            row[t] = sub(row[t], mul(g, v))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -153,6 +194,46 @@ def _rank_rows(F: Field, row_lists) -> int:
     """Rank of a list of coefficient rows (consumed as scratch)."""
     work = [list(r) for r in row_lists]
     return len(_echelonize(F, work, reduced=False))
+
+
+def det(M: FieldMatrix) -> int:
+    """Determinant: the product of the pivots of the unreduced
+    elimination, negated when its row swaps make an odd permutation."""
+    if M.rows != M.cols:
+        raise ParameterError("determinant needs a square matrix")
+    F = M.field()
+    work = M.to_rows()
+    start = [id(row) for row in work]
+    if len(_echelonize(F, work, reduced=False)) < M.rows:
+        return 0
+    # the kernel moves row objects, so their identities give the permutation
+    end = {id(row): i for i, row in enumerate(work)}
+    perm = [end[x] for x in start]
+    odd = False
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            odd = not odd
+    d = F.neg(1) if odd else 1
+    for i, row in enumerate(work):
+        d = F.mul(d, row[i])
+    return d
+
+
+def _reduce_against(F: Field, echelon, vec) -> list[int]:
+    """Remainder of vec against (pivot column, row) pairs of an echelon
+    basis with unit pivots, in pivot order; all zero iff vec lies in
+    their span."""
+    sub, mul = F.sub, F.mul
+    v = list(vec)
+    for pivot_col, row in echelon:
+        c = v[pivot_col]
+        if c:
+            for t in range(pivot_col, len(v)):
+                if row[t]:
+                    v[t] = sub(v[t], mul(c, row[t]))
+    return v
 
 
 def solve(M: FieldMatrix, b) -> list[int] | None:
@@ -253,6 +334,44 @@ def mat_vec(M: FieldMatrix, v) -> list[int]:
     return out
 
 
+def _unrank_combination(m: int, k: int, idx: int) -> tuple[int, ...]:
+    """idx-th k-subset of range(m) in lexicographic order."""
+    out = []
+    x = 0
+    for slot in range(k, 0, -1):
+        while True:
+            c = comb(m - x - 1, slot - 1)
+            if idx < c:
+                out.append(x)
+                x += 1
+                break
+            idx -= c
+            x += 1
+    return tuple(out)
+
+
+def first_dependent_subset(F: Field, groups, k: int, step: int = 1):
+    """Walk the k-subsets of `groups` (each a list of rows) in
+    lexicographic order, rank-checking the stacked rows of each.
+
+    Returns (the first subset whose rows are dependent, or None; the
+    number of subsets checked).  With step > 1 only the subsets at
+    indices 0, step, 2*step, ... are checked, each found by unranking.
+    """
+    n = len(groups)
+    if step == 1:
+        sels = combinations(range(n), k)
+    else:
+        sels = (_unrank_combination(n, k, i) for i in range(0, comb(n, k), step))
+    checked = 0
+    for sel in sels:
+        checked += 1
+        rows = [v for i in sel for v in groups[i]]
+        if _rank_rows(F, rows) != len(rows):
+            return sel, checked
+    return None, checked
+
+
 def columns_independent(M: FieldMatrix, idxs) -> bool:
     """True iff the selected columns have rank len(idxs)."""
     idxs = list(idxs)
@@ -276,13 +395,5 @@ def is_mds_parity_check(A: FieldMatrix, delta: int) -> bool:
         raise ParameterError("delta exceeds the number of columns")
     if A.rows != delta:
         raise ParameterError("matrix must have exactly delta rows")
-    if delta == 0:
-        return True
-    cols = [A.column(j) for j in range(A.cols)]
-    if any(not any(c) for c in cols):
-        return False
-    F = A.field()
-    for sel in combinations(range(A.cols), delta):
-        if _rank_rows(F, [cols[j] for j in sel]) != delta:
-            return False
-    return True
+    cols = [[A.column(j)] for j in range(A.cols)]
+    return first_dependent_subset(A.field(), cols, delta)[0] is None

@@ -8,7 +8,8 @@ certified direct sum system.  Verification re-proves maximal
 recoverability by enumerating every erasure pattern (delta positions
 per group plus h more anywhere) and rank-checking the selected columns;
 the structured verifier reaches the same verdict with one h x h rank
-check per erased support.
+check per erased support.  Every rank, determinant and subset check
+goes through the shared kernel in linalg.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ from .errors import BudgetError, ParameterError
 from .gf import FieldTower
 from .linalg import (
     FieldMatrix,
+    det,
+    first_dependent_subset,
     is_mds_parity_check,
     kernel,
     matmul,
     vec_mat,
     _rank_rows,
+    _unrank_combination,
 )
 from .sdss import SubspaceSystem
 
@@ -131,42 +135,12 @@ def moore_matrix(t: FieldTower, alphas, h: int) -> FieldMatrix:
     return FieldMatrix.from_rows(t, "top", rows)
 
 
-def _elim_det(F, rows) -> int:
-    """Determinant by Gaussian elimination (no normalization)."""
-    work = [list(r) for r in rows]
-    k = len(work)
-    det = 1
-    for c in range(k):
-        piv = None
-        for i in range(c, k):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            det = F.neg(det)
-        prow = work[c]
-        det = F.mul(det, prow[c])
-        inv = F.inv(prow[c])
-        for i in range(c + 1, k):
-            g = work[i][c]
-            if g:
-                f = F.mul(g, inv)
-                row = work[i]
-                for tcol in range(c, k):
-                    if prow[tcol]:
-                        row[tcol] = F.sub(row[tcol], F.mul(f, prow[tcol]))
-    return det
-
-
 def moore_det(t: FieldTower, alphas) -> int:
     """Determinant of the square Moore matrix on alphas.
 
     Computed twice: as the product of c_1 a_1 + ... + c_i-1 a_i-1 + a_i
     over all direction vectors with last nonzero entry 1, and by
-    Gaussian elimination on the assembled matrix; the two must agree.
+    linalg.det on the assembled matrix; the two must agree.
     """
     alphas = list(alphas)
     h = len(alphas)
@@ -180,8 +154,7 @@ def moore_det(t: FieldTower, alphas) -> int:
                 if c:
                     acc = F.add(acc, F.mul(c, a))
             prod = F.mul(prod, acc)
-    elim = _elim_det(F, moore_matrix(t, alphas, h).to_rows())
-    if prod != elim:
+    if prod != det(moore_matrix(t, alphas, h)):
         raise AssertionError(
             "Moore determinant formula disagrees with elimination"
         )
@@ -268,13 +241,13 @@ def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem,
     total = comb(spec.r, need)
     if total > config.subset_budget():
         raise BudgetError(f"{total} column subsets exceed the budget")
-    inner_cols = [inner.column(j) for j in range(inner.cols)]
-    for sel in combinations(range(spec.r), need):
-        if _rank_rows(Fq_inner, [inner_cols[j] for j in sel]) != need:
-            raise ParameterError(
-                "inner code distance below h+delta+1: "
-                f"columns {sel} are dependent"
-            )
+    sel, _ = first_dependent_subset(
+        Fq_inner, [[inner.column(j)] for j in range(inner.cols)], need
+    )
+    if sel is not None:
+        raise ParameterError(
+            f"inner code distance below h+delta+1: columns {sel} are dependent"
+        )
     Ftop = t.field("top")
     A = local_parity_check(t, spec.r, spec.delta)
     D = []
@@ -330,22 +303,6 @@ def enumerate_patterns(spec: MrCodeSpec):
             yield ErasurePattern(per_group=pg, extra=extra)
 
 
-def _unrank_combination(m: int, k: int, idx: int) -> tuple[int, ...]:
-    """idx-th k-subset of range(m) in lexicographic order."""
-    out = []
-    x = 0
-    for slot in range(k, 0, -1):
-        while True:
-            c = comb(m - x - 1, slot - 1)
-            if idx < c:
-                out.append(x)
-                x += 1
-                break
-            idx -= c
-            x += 1
-    return tuple(out)
-
-
 def pattern_at(spec: MrCodeSpec, index: int) -> ErasurePattern:
     """Pattern at a given position of the enumerate_patterns stream."""
     n, r, delta, h = spec.n, spec.r, spec.delta, spec.h
@@ -385,61 +342,6 @@ class VerifyReport:
     checks: int | None = None
 
 
-def _full_rank_square_char2(mat, exp, log, n1) -> bool:
-    k = len(mat)
-    for c in range(k):
-        piv = -1
-        for i in range(c, k):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            return False
-        prow = mat[piv]
-        if piv != c:
-            mat[piv] = mat[c]
-            mat[c] = prow
-        pl = log[prow[c]]
-        for i in range(c + 1, k):
-            row = mat[i]
-            f = row[c]
-            if f:
-                shift = log[f] - pl + n1
-                for t in range(c + 1, k):
-                    v = prow[t]
-                    if v:
-                        row[t] ^= exp[(log[v] + shift) % n1]
-    return True
-
-
-def _full_rank_square_generic(F, mat) -> bool:
-    sub, mul, inv = F.sub, F.mul, F.inv
-    k = len(mat)
-    for c in range(k):
-        piv = -1
-        for i in range(c, k):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            return False
-        prow = mat[piv]
-        if piv != c:
-            mat[piv] = mat[c]
-            mat[c] = prow
-        pinv = inv(prow[c])
-        for i in range(c + 1, k):
-            row = mat[i]
-            g = row[c]
-            if g:
-                f = mul(g, pinv)
-                for t in range(c + 1, k):
-                    v = prow[t]
-                    if v:
-                        row[t] = sub(row[t], mul(f, v))
-    return True
-
-
 def verify_mr(P: MrParityCheck, budget: int | None = None,
               sample: int | None = None) -> VerifyReport:
     """Check the two parity-check conditions by enumeration.
@@ -463,16 +365,11 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     F = spec.tower.field("top")
     k = spec.n * spec.delta + spec.h
     H = P.H
-    cols = [tuple(H.at(i, j) for i in range(H.rows)) for j in range(H.cols)]
-    tables = F.tables() if F.char == 2 else None
+    cols = [H.column(j) for j in range(H.cols)]
     checked = 0
 
     def pattern_ok(idxs) -> bool:
-        mat = [list(cols[c]) for c in idxs]
-        if tables is not None:
-            exp, log = tables
-            return _full_rank_square_char2(mat, exp, log, F.size - 1)
-        return _full_rank_square_generic(F, mat)
+        return _rank_rows(F, [cols[c] for c in idxs]) == k
 
     if sample is None:
         for pat in enumerate_patterns(spec):

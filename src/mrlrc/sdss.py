@@ -16,7 +16,14 @@ from . import config
 from .codes import BlockCode, LinearCode, block_min_distance
 from .errors import BudgetError, ParameterError
 from .gf import FieldTower, make_tower
-from .linalg import FieldMatrix, rref, _rank_rows
+from .linalg import (
+    FieldMatrix,
+    first_dependent_subset,
+    kernel,
+    rref,
+    _echelonize,
+    _reduce_against,
+)
 
 
 class SubspaceSystem:
@@ -79,15 +86,10 @@ def verify_direct_sum(S: SubspaceSystem, budget: int | None = None,
         stats = {}
     stats["subsets_checked"] = 0
     F = S.tower.field("mid")
-    for group in S.basis:
-        if _rank_rows(F, group) != S.r:
-            return False
-    for sel in combinations(range(S.n), S.h):
-        stacked = [v for i in sel for v in S.basis[i]]
-        stats["subsets_checked"] += 1
-        if _rank_rows(F, stacked) != S.h * S.r:
-            return False
-    return True
+    if first_dependent_subset(F, S.basis, 1)[0] is not None:
+        return False
+    bad, stats["subsets_checked"] = first_dependent_subset(F, S.basis, S.h)
+    return bad is None
 
 
 def _certify(S: SubspaceSystem, budget: int | None = None) -> SubspaceSystem:
@@ -99,17 +101,12 @@ def _certify(S: SubspaceSystem, budget: int | None = None) -> SubspaceSystem:
         S.certified = True
         S.certified_sample = None
         return S
-    # sampled certification: every k-th subset, deterministically
-    step = max(1, total // cap)
-    F = S.tower.field("mid")
-    checked = 0
-    for idx, sel in enumerate(combinations(range(S.n), S.h)):
-        if idx % step:
-            continue
-        stacked = [v for i in sel for v in S.basis[i]]
-        if _rank_rows(F, stacked) != S.h * S.r:
-            raise AssertionError("construction produced a non-direct system")
-        checked += 1
+    # sampled certification: every step-th subset, deterministically
+    bad, checked = first_dependent_subset(
+        S.tower.field("mid"), S.basis, S.h, step=max(1, total // cap)
+    )
+    if bad is not None:
+        raise AssertionError("construction produced a non-direct system")
     S.certified = True
     S.certified_sample = checked
     return S
@@ -175,32 +172,6 @@ def _vec_of_code(code: int, q: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reduce_against(F, echelon, vec):
-    """Reduce vec against rows of an echelon basis; None if it reduces
-    to zero (i.e. lies in the span), else the reduced remainder."""
-    sub, mul = F.sub, F.mul
-    v = list(vec)
-    for pivot_col, row in echelon:
-        c = v[pivot_col]
-        if c:
-            for t in range(pivot_col, len(v)):
-                if row[t]:
-                    v[t] = sub(v[t], mul(c, row[t]))
-    for t, c in enumerate(v):
-        if c:
-            return t, v
-    return None
-
-
-def _echelon_insert(F, echelon, reduced):
-    pivot_col, v = reduced
-    inv = F.inv(v[pivot_col])
-    if inv != 1:
-        v = [F.mul(inv, c) for c in v]
-    echelon.append((pivot_col, v))
-    echelon.sort(key=lambda e: e[0])
-
-
 def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
     """Greedy construction backed by the counting argument.
 
@@ -232,16 +203,12 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
         for _ in range(r):
             spans = []
             for subset in combinations(range(i), h - 1):
-                rows = [v for g in subset for v in basis[g]] + group
-                echelon = []
-                for row in rows:
-                    red = _reduce_against(F, echelon, row)
-                    if red is not None:
-                        _echelon_insert(F, echelon, red)
-                spans.append(echelon)
+                work = [list(v) for g in subset for v in basis[g]]
+                work += [list(v) for v in group]
+                spans.append(list(zip(_echelonize(F, work), work)))
             for code in range(q**m):
                 v = _vec_of_code(code, q, m)
-                if all(_reduce_against(F, sp, v) is not None for sp in spans):
+                if all(any(_reduce_against(F, sp, v)) for sp in spans):
                     group.append(v)
                     break
             else:
@@ -292,8 +259,6 @@ def _subfield_inside(t: FieldTower, u: int):
         rows.append(t.top_to_vec(img))
     # kernel of z -> z^(q^u) - z, written on the polynomial basis
     M = FieldMatrix.from_rows(t, "mid", [[rows[j][i] for j in range(m)] for i in range(m)])
-    from .linalg import kernel
-
     K = kernel(M)
     if K.rows != u:
         raise AssertionError("fixed field has unexpected dimension")
@@ -307,14 +272,12 @@ def _ell_basis(t: FieldTower, ell_basis_fq: list[int], r: int) -> list[int]:
     echelon: list = []
     chosen: list[int] = []
     for code in range(1, F.size):
-        red = _reduce_against(Fq, echelon, t.top_to_vec(code))
-        if red is None:
+        if not any(_reduce_against(Fq, echelon, t.top_to_vec(code))):
             continue
         chosen.append(code)
-        for g in ell_basis_fq:
-            red2 = _reduce_against(Fq, echelon, t.top_to_vec(F.mul(g, code)))
-            if red2 is not None:
-                _echelon_insert(Fq, echelon, red2)
+        work = [row for _, row in echelon]
+        work += [t.top_to_vec(F.mul(g, code)) for g in ell_basis_fq]
+        echelon = list(zip(_echelonize(Fq, work), work))
         if len(chosen) == r:
             return chosen
     raise AssertionError("top field too small for the requested basis")

@@ -283,3 +283,46 @@ def test_verify_sdss_rejects_sample(tmp_path, capsys):
     code, stdout, err = run(capsys, "verify", "--in", str(out), "--sample", "3")
     assert code == 2 and stdout == ""
     assert err.startswith("error: --sample") and len(err.splitlines()) == 1
+
+
+def test_verify_directory_exit_2(tmp_path, capsys):
+    code, stdout, err = run(capsys, "verify", "--in", str(tmp_path))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exit_4(capsys, monkeypatch):
+    from mrlrc import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", broken)
+    code, stdout, err = run(capsys, "bounds", "--p", "2", "--n", "5", "--r", "3", "--h", "2")
+    assert code == 4 and stdout == ""
+    assert err == "error: internal: boom\n"
+
+
+def test_sampled_certification_is_not_reported_as_certified(tmp_path, capsys, monkeypatch):
+    from math import comb
+
+    from mrlrc import sdss
+    from mrlrc.gf import make_tower
+
+    monkeypatch.setenv("MRLRC_BUDGET", "3")  # C(5, 2) = 10 subsets, so every 3rd
+    S = sdss.mds_construct(make_tower(2, 1, 4), 5, 2, 2)
+    assert S.certified and S.certified_sample == len(range(0, comb(5, 2), 10 // 3)) == 4
+    out = tmp_path / "c.mr"
+    code, stdout, _ = run(capsys, "construct", "--p", "2", "--r", "2", "--h", "2",
+                          "--delta", "1", "--n", "5", "--out", str(out))
+    assert code == 0
+    assert stdout.splitlines()[0] == "N=10 r=2 h=2 delta=1 ell=2^4 method=direct certified=0"
+    assert (tmp_path / "c.mr.sdss").read_text().splitlines()[2] == "n=5 r=2 h=2 m=4 certified=0"
+    code, stdout, _ = run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5",
+                          "--out", str(tmp_path / "s.sdss"))
+    assert code == 0 and stdout.rstrip().endswith("certified=0")
+    monkeypatch.delenv("MRLRC_BUDGET")
+    code, stdout, _ = run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5",
+                          "--out", str(tmp_path / "s.sdss"))
+    assert code == 0 and stdout.rstrip().endswith("certified=1")

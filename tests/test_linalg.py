@@ -9,7 +9,10 @@ from mrlrc.errors import ParameterError
 from mrlrc.gf import make_tower
 from mrlrc.linalg import (
     FieldMatrix,
+    _rank_rows,
+    _unrank_combination,
     columns_independent,
+    first_dependent_subset,
     is_mds_parity_check,
     kernel,
     mat_vec,
@@ -179,6 +182,39 @@ def test_is_mds_parity_check_errors():
         is_mds_parity_check(M, 3)
     with pytest.raises(ParameterError):
         is_mds_parity_check(M, 0)  # rows != delta
+
+
+def test_unrank_combination_matches_lexicographic_order():
+    for m, k in ((5, 2), (7, 3), (6, 6), (4, 1)):
+        for idx, sel in enumerate(combinations(range(m), k)):
+            assert _unrank_combination(m, k, idx) == sel
+
+
+def test_first_dependent_subset_strided_matches_filtered_walk():
+    """The strided walk checks exactly the subsets at indices 0, step,
+    2*step, ... of the full lexicographic walk and stops at the first
+    dependent one among them."""
+    rng = random.Random(7)
+    F = F4T.field("top")
+    for trial in range(40):
+        n, k, size = rng.randint(3, 7), rng.randint(1, 3), rng.randint(1, 2)
+        k = min(k, n)
+        width = k * size + rng.randint(0, 1)
+        groups = [[[rng.randrange(4) for _ in range(width)] for _ in range(size)]
+                  for _ in range(n)]
+        if trial % 2:
+            groups[rng.randrange(n)] = groups[rng.randrange(n)]  # plant a repeat
+        for step in (1, 2, 3, 5):
+            expected, checked = None, 0
+            for idx, sel in enumerate(combinations(range(n), k)):
+                if idx % step:
+                    continue
+                checked += 1
+                rows = [v for i in sel for v in groups[i]]
+                if _rank_rows(F, rows) != len(rows):
+                    expected = sel
+                    break
+            assert first_dependent_subset(F, groups, k, step) == (expected, checked)
 
 
 def test_matrix_validation():
