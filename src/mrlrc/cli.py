@@ -281,7 +281,12 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     P = fileio.parse_mr(Path(args.infile).read_text())
     rx = fileio.parse_vector(Path(args.received).read_text())
-    erased = [int(tok) for tok in args.erasures.split(",") if tok.strip()]
+    try:
+        erased = [int(tok) for tok in args.erasures.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ParameterError(
+            f"--erasures must be comma-separated integers, got {args.erasures!r}"
+        ) from exc
     result = mr.erase_decode(P, rx, erased)
     if not result.ok:
         print("UNDECODABLE")

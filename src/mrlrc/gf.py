@@ -13,11 +13,15 @@ identical and every code is reproducible across runs.
 Levels are addressed by name: ``"prime"`` (F_p), ``"mid"`` (F_q),
 ``"top"`` (F_{q^m}).  Towers and their element codes are immutable;
 all operations are pure functions, safe to share across threads.
+Fields up to config.TABLE_CAP elements build log/exp tables on first
+use and then multiply on them; odd-characteristic fields then also add,
+subtract and negate on a table of Zech logarithms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from . import config
 from .errors import FormatError, ParameterError
@@ -94,7 +98,11 @@ class _ExtOps:
     Elements are ints: base-`base.size` little-endian digit strings of
     the coefficient vector.  Multiplication and inversion go through
     log/exp tables once the field is small enough (config.TABLE_CAP);
-    otherwise they fall back to direct polynomial arithmetic.
+    otherwise they fall back to direct polynomial arithmetic.  Addition
+    is XOR in characteristic 2.  In odd characteristic it runs digit by
+    digit until the tables exist, and then on one period of Zech
+    logarithms built with them (Lidl-Niederreiter, Finite Fields, ch. 9),
+    as do subtraction and negation.
     """
 
     __slots__ = (
@@ -107,6 +115,8 @@ class _ExtOps:
         "_mod_int",
         "_exp",
         "_log",
+        "_zech",
+        "_half",
     )
 
     def __init__(self, base, modulus):
@@ -122,6 +132,8 @@ class _ExtOps:
             self._mod_int = sum(c << i for i, c in enumerate(modulus))
         self._exp = None
         self._log = None
+        self._zech = None
+        self._half = None
 
     # -- coefficient vector <-> int code ------------------------------
     def decode(self, code):
@@ -140,46 +152,60 @@ class _ExtOps:
         return code
 
     # -- ring operations ----------------------------------------------
-    def add(self, x, y):
-        if self.char == 2:
-            return x ^ y
-        b = self.base
+    def _digitwise(self, op, x, y):
+        """op applied to each pair of base-field digits of x and y."""
         s = self.base_size
         out = 0
         mult = 1
         while x or y:
             x, dx = divmod(x, s)
             y, dy = divmod(y, s)
-            out += b.add(dx, dy) * mult
+            out += op(dx, dy) * mult
             mult *= s
         return out
+
+    # With tables in odd characteristic, x + y = x (1 + y/x) and
+    # 1 + alpha^d = alpha^Z(d) (Zech logarithms); -1 = alpha^(n1/2).
+    def add(self, x, y):
+        if self.char == 2:
+            return x ^ y
+        zech = self._zech
+        if zech is None:
+            return self._digitwise(self.base.add, x, y)
+        if not x:
+            return y
+        if not y:
+            return x
+        log = self._log
+        lx = log[x]
+        z = zech[log[y] - lx]  # a negative index wraps: zech has period n1
+        return self._exp[lx + z] if z >= 0 else 0
 
     def sub(self, x, y):
         if self.char == 2:
             return x ^ y
-        b = self.base
-        s = self.base_size
-        out = 0
-        mult = 1
-        while x or y:
-            x, dx = divmod(x, s)
-            y, dy = divmod(y, s)
-            out += b.sub(dx, dy) * mult
-            mult *= s
-        return out
+        zech = self._zech
+        if zech is None:
+            return self._digitwise(self.base.sub, x, y)
+        if not y:
+            return x
+        log = self._log
+        ly = log[y] + self._half
+        if not x:
+            return self._exp[ly]
+        lx = log[x]
+        d = ly - lx
+        if d >= len(zech):
+            d -= len(zech)
+        z = zech[d]
+        return self._exp[lx + z] if z >= 0 else 0
 
     def neg(self, x):
         if self.char == 2:
             return x
-        b = self.base
-        s = self.base_size
-        out = 0
-        mult = 1
-        while x:
-            x, dx = divmod(x, s)
-            out += b.neg(dx) * mult
-            mult *= s
-        return out
+        if self._zech is None:
+            return self._digitwise(self.base.sub, 0, x)
+        return self._exp[self._log[x] + self._half] if x else 0
 
     def _mul_raw(self, x, y):
         if self._mod_int is not None:
@@ -251,6 +277,15 @@ class _ExtOps:
             raise AssertionError("generator order mismatch")
         self._exp = exp
         self._log = log
+        if self.char != 2:
+            # 1 + x only changes the constant F_p digit of x, which is the
+            # code of x mod p at every level of the tower
+            p1 = self.char - 1
+            zech = [log[x - p1 if x % self.char == p1 else x + 1]
+                    for x in islice(exp, n1)]
+            self._half = n1 // 2
+            zech[self._half] = -1  # 1 + alpha^(n1/2) = 1 - 1 = 0
+            self._zech = zech
         return True
 
     def mul(self, x, y):

@@ -10,10 +10,17 @@ per group plus h more anywhere) and rank-checking the selected columns;
 the structured verifier reaches the same verdict with one h x h rank
 check per erased support.  Every rank, determinant and subset check
 goes through the shared kernel in linalg.
+
+The erasure codec decodes an erased set densely the first time it sees
+it and from a cached decode plan when the set comes back, with the
+dense decoder kept as the reference (see erase_decode).
 """
 
 from __future__ import annotations
 
+# threading.Lock is this lock; importing threading would add to the
+# start-up time and memory of every mrlrc command
+from _thread import allocate_lock
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -29,7 +36,9 @@ from .linalg import (
     is_mds_parity_check,
     kernel,
     matmul,
+    solve,
     vec_mat,
+    _echelonize,
     _rank_rows,
     _unrank_combination,
 )
@@ -89,6 +98,7 @@ class MrParityCheck:
         self.A = A
         self.D = list(D)
         self.H = _assemble(spec, A, D)
+        self._plans = _PlanCache()
 
     def __repr__(self):
         s = self.spec
@@ -487,8 +497,15 @@ def generator_from_parity(P: MrParityCheck) -> FieldMatrix:
     return G
 
 
+def _check_symbols(values: list[int], size: int, what: str) -> None:
+    if values and (min(values) < 0 or max(values) >= size):
+        raise ParameterError(f"{what} holds a symbol outside 0..{size - 1}")
+
+
 def encode(G: FieldMatrix, msg) -> list[int]:
     """Codeword msg . G."""
+    msg = list(msg)
+    _check_symbols(msg, G.field().size, "message")
     return vec_mat(msg, G)
 
 
@@ -500,46 +517,215 @@ class DecodeResult:
     reason: str = ""
 
 
-def erase_decode(P: MrParityCheck, received, erased) -> DecodeResult:
-    """Fill in the erased coordinates from the parity equations.
+_DEPENDENT = "erased columns are dependent"
+_INCONSISTENT = "known coordinates are inconsistent"
 
-    Values at erased positions in `received` are ignored.  When the
-    erased columns of H are independent the unique fill-in is returned;
-    when they are dependent the failure carries a kernel vector of those
-    columns as a certificate.
+# Erased sets remembered per parity check.  Node-failure repair repeats
+# one set over consecutive stripes, so a few dozen sets catch every repeat.
+PLAN_CAP = 64
+
+
+class _Plan:
+    """Decoding of one erased set E, from one elimination of [H_E | I]
+    to its reduced form [R | T], so that T H_E = R.
+
+    With H_E of full column rank, R is the identity over zero rows: the
+    erased values are x = -T_top s for the syndrome s of the known
+    symbols, and T_bot s = 0 holds iff those symbols are consistent.
+    Otherwise R is rref(H_E) over zero rows and the plan holds the
+    certificate that linalg.kernel(H_E) gives first.
     """
+
+    __slots__ = ("F", "erased", "known", "tables", "columns", "t_columns", "certificate")
+
+    def __init__(self, P: MrParityCheck, erased: list[int], tables, columns):
+        F = P.spec.tower.field("top")
+        R, e = P.H.rows, len(erased)
+        work = []
+        for i, row in enumerate(P.H.to_rows()):
+            ident = [0] * R
+            ident[i] = 1
+            work.append([row[j] for j in erased] + ident)
+        pivots = _echelonize(F, work)
+        rank = sum(1 for c in pivots if c < e)
+        self.F = F
+        self.erased = erased
+        self.certificate = None
+        if rank < e:
+            free = next(c for c in range(e) if c not in pivots)
+            cert = [0] * e
+            cert[free] = 1
+            for i, c in enumerate(pivots[:rank]):
+                cert[c] = F.neg(work[i][free])
+            self.certificate = tuple(cert)
+            return
+        erased_set = set(erased)
+        self.known = [j for j in range(P.spec.N) if j not in erased_set]
+        self.tables = tables
+        self.columns = columns
+        # column i of T as (row, entry) pairs, the entries as logs on tables
+        log = None if tables is None else tables[1]
+        self.t_columns = [
+            [(k, work[k][e + i] if log is None else log[work[k][e + i]])
+             for k in range(R) if work[k][e + i]]
+            for i in range(R)
+        ]
+
+    def decode(self, received: list[int]) -> DecodeResult:
+        F = self.F
+        if self.certificate is not None:
+            return DecodeResult(False, None, list(self.certificate), reason=_DEPENDENT)
+        columns, t_columns = self.columns, self.t_columns
+        R = len(t_columns)
+        s = [0] * R
+        out = [0] * R
+        if self.tables is not None:
+            exp, log = self.tables
+            for j in self.known:
+                v = received[j]
+                if v:
+                    lv = log[v]
+                    for i, lh in columns[j]:
+                        s[i] ^= exp[lh + lv]
+            for i, a in enumerate(s):
+                if a:
+                    la = log[a]
+                    for k, lt in t_columns[i]:
+                        out[k] ^= exp[lt + la]
+        else:
+            add, mul = F.add, F.mul
+            for j in self.known:
+                v = received[j]
+                if v:
+                    for i, h in columns[j]:
+                        s[i] = add(s[i], mul(h, v))
+            for i, a in enumerate(s):
+                if a:
+                    for k, t in t_columns[i]:
+                        out[k] = add(out[k], mul(t, a))
+        e = len(self.erased)
+        if any(out[e:]):
+            return DecodeResult(False, None, None, reason=_INCONSISTENT)
+        word = list(received)
+        for pos, v in zip(self.erased, out):
+            word[pos] = F.neg(v)
+        return DecodeResult(True, word, None)
+
+
+class _PlanCache:
+    """The last PLAN_CAP erased sets decoded with one parity check, oldest
+    first: a set seen once maps to None, a set seen again to its plan."""
+
+    _UNSEEN = object()
+
+    def __init__(self):
+        self._lock = allocate_lock()
+        self._plans: dict[tuple[int, ...], _Plan | None] = {}
+        self._layout = None
+
+    def plan(self, P: MrParityCheck, erased: list[int]) -> _Plan | None:
+        """The plan for `erased`, or None on its first sight."""
+        key = tuple(erased)
+        with self._lock:
+            plan = self._plans.pop(key, self._UNSEEN)
+            if plan is self._UNSEEN:
+                plan = None
+                if len(self._plans) >= PLAN_CAP:
+                    del self._plans[next(iter(self._plans))]
+            elif plan is None:
+                if self._layout is None:
+                    self._layout = _plan_layout(P)
+                plan = _Plan(P, erased, *self._layout)
+            self._plans[key] = plan
+            return plan
+
+
+def _plan_layout(P: MrParityCheck):
+    """What every plan of P shares: the (exp, log) tables where plans run
+    on table lookups and XOR, as linalg._echelonize does (binary fields
+    with tables; else None), and per column of H its nonzero (row,
+    entry) pairs, the entries as logs on tables."""
+    F = P.spec.tower.field("top")
+    tables = F.tables() if F.char == 2 else None
+    log = None if tables is None else tables[1]
+    H = P.H
+    columns = [
+        [(i, v if log is None else log[v]) for i, v in enumerate(H.column(j)) if v]
+        for j in range(H.cols)
+    ]
+    return tables, columns
+
+
+def _decode_args(P: MrParityCheck, received, erased):
     spec = P.spec
     received = list(received)
     if len(received) != spec.N:
         raise ParameterError("received word length mismatch")
+    _check_symbols(received, spec.ell, "received word")
     erased = sorted(set(erased))
     for e in erased:
         if not 0 <= e < spec.N:
             raise ParameterError(f"erased index {e} out of range")
+    return received, erased
+
+
+def erase_decode(P: MrParityCheck, received, erased) -> DecodeResult:
+    """Fill in the erased coordinates from the parity equations.
+
+    Values at erased positions in `received` are ignored, but every
+    symbol must be a field element.  When the erased columns of H are
+    independent the unique fill-in is returned; when they are dependent
+    the failure carries a kernel vector of those columns as a
+    certificate.
+
+    The first sight of an erased set is decoded by erase_decode_dense.
+    A set seen again among the last PLAN_CAP gets a decode plan, and
+    from then on a stripe costs a syndrome over the nonzero entries of
+    the known columns and one rows x rows product.  Every known symbol
+    is still read, for the consistency check.  The result equals that
+    of erase_decode_dense for every input.
+    """
+    received, erased = _decode_args(P, received, erased)
     if not erased:
         return DecodeResult(True, received, None)
+    plan = P._plans.plan(P, erased)
+    if plan is None:
+        return _decode_dense(P, received, erased)
+    return plan.decode(received)
+
+
+def erase_decode_dense(P: MrParityCheck, received, erased) -> DecodeResult:
+    """erase_decode through linalg.kernel and linalg.solve on H_E alone,
+    with no plan: the reference the plan path is tested against."""
+    received, erased = _decode_args(P, received, erased)
+    if not erased:
+        return DecodeResult(True, received, None)
+    return _decode_dense(P, received, erased)
+
+
+def _decode_dense(P: MrParityCheck, received: list[int],
+                  erased: list[int]) -> DecodeResult:
+    spec = P.spec
     F = spec.tower.field("top")
-    H = P.H
-    sub_rows = [[H.at(i, j) for j in erased] for i in range(H.rows)]
-    M = FieldMatrix.from_rows(spec.tower, "top", sub_rows)
+    rows = P.H.to_rows()
+    M = FieldMatrix.from_rows(spec.tower, "top", [[row[j] for j in erased] for row in rows])
     ker = kernel(M)
     if ker.rows:
-        return DecodeResult(False, None, ker.row(0),
-                            reason="erased columns are dependent")
+        return DecodeResult(False, None, ker.row(0), reason=_DEPENDENT)
     erased_set = set(erased)
+    add, mul = F.add, F.mul
     syndrome = []
-    for i in range(H.rows):
+    for row in rows:
         acc = 0
-        for j, v in enumerate(received):
-            if v and j not in erased_set:
-                acc = F.add(acc, F.mul(H.at(i, j), v))
+        for j, h in enumerate(row):
+            if h and j not in erased_set:
+                v = received[j]
+                if v:
+                    acc = add(acc, mul(h, v))
         syndrome.append(F.neg(acc))
-    from .linalg import solve
-
     x = solve(M, syndrome)
     if x is None:
-        return DecodeResult(False, None, None,
-                            reason="known coordinates are inconsistent")
+        return DecodeResult(False, None, None, reason=_INCONSISTENT)
     out = list(received)
     for pos, val in zip(erased, x):
         out[pos] = val

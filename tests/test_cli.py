@@ -326,3 +326,48 @@ def test_sampled_certification_is_not_reported_as_certified(tmp_path, capsys, mo
     code, stdout, _ = run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5",
                           "--out", str(tmp_path / "s.sdss"))
     assert code == 0 and stdout.rstrip().endswith("certified=1")
+
+
+def _encoded(tmp_path, capsys, p):
+    """A small code over characteristic p and one encoded word: (code, cw)."""
+    code_path = tmp_path / "c.mr"
+    run(capsys, "construct", "--p", str(p), "--r", "2", "--h", "2", "--delta", "1",
+        "--n", "4", "--out", str(code_path))
+    P = fileio.parse_mr(code_path.read_text())
+    msg = tmp_path / "msg.txt"
+    msg.write_text("\n".join("1" for _ in range(P.spec.k)) + "\n")
+    cw = tmp_path / "cw.txt"
+    assert run(capsys, "encode", "--in", str(code_path), str(msg), "--out", str(cw))[0] == 0
+    return code_path, fileio.parse_vector(cw.read_text())
+
+
+def test_decode_malformed_erasures_exit_2(tmp_path, capsys):
+    code_path, cw = _encoded(tmp_path, capsys, 2)
+    rx = tmp_path / "rx.txt"
+    rx.write_text(fileio.format_vector(cw))
+    code, stdout, err = run(capsys, "decode", "--in", str(code_path), str(rx),
+                            "--erasures", "1,x", "--out", str(tmp_path / "r.txt"))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and "internal" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_codec_symbols_outside_the_field_exit_2(tmp_path, capsys):
+    for p in (2, 3):
+        code_path, cw = _encoded(tmp_path, capsys, p)
+        P = fileio.parse_mr(code_path.read_text())
+        msg = tmp_path / "big-msg.txt"
+        msg.write_text("\n".join(["1000000"] + ["1"] * (P.spec.k - 1)) + "\n")
+        code, _, err = run(capsys, "encode", "--in", str(code_path), str(msg),
+                           "--out", str(tmp_path / "o.txt"))
+        assert code == 2 and "internal" not in err
+        for bad in (1000000, P.spec.ell, -1):
+            rx = tmp_path / "rx.txt"
+            rx.write_text(fileio.format_vector([bad] + cw[1:]))
+            for erasures in ("", "0", "1"):
+                code, stdout, err = run(capsys, "decode", "--in", str(code_path), str(rx),
+                                        "--erasures", erasures,
+                                        "--out", str(tmp_path / "r.txt"))
+                assert code == 2, (p, bad, erasures)
+                assert "UNDECODABLE" not in stdout and "internal" not in err

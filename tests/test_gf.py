@@ -105,6 +105,38 @@ def test_field_axioms_sampled_larger(p, a, m):
             assert F.mul(a_, F.inv(a_)) == 1
 
 
+@pytest.mark.parametrize("p,a,m", [(3, 1, 4), (3, 1, 8), (3, 2, 3), (5, 2, 2)])
+def test_zech_arithmetic_matches_digit_loop(p, a, m):
+    """Once the tables exist, odd-characteristic add/sub/neg run on Zech
+    logarithms; they must equal the digit-by-digit arithmetic and keep
+    the additive group laws."""
+    F = make_tower(p, a, m).field("top")
+    ops = F._ops
+    assert F.tables() is not None
+    assert len(ops._zech) == F.size - 1
+
+    def digits(op, x, y):
+        return ops._digitwise(getattr(ops.base, op), x, y)
+
+    rng = random.Random(p * 100 + a * 10 + m)
+    for _ in range(3000):
+        x, y, z = (rng.randrange(F.size) for _ in range(3))
+        if rng.random() < 0.1:
+            y = x
+        elif rng.random() < 0.1:
+            y = digits("sub", 0, x)
+        assert F.add(x, y) == digits("add", x, y)
+        assert F.sub(x, y) == digits("sub", x, y)
+        assert F.neg(x) == digits("sub", 0, x)
+        assert F.add(x, F.neg(x)) == 0
+        assert F.sub(x, x) == 0
+        assert F.add(x, 0) == F.sub(x, 0) == x
+        assert F.add(x, y) == F.add(y, x)
+        assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
+        assert F.sub(F.add(x, y), y) == x
+        assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+
+
 @pytest.mark.parametrize("p,a,m", [(2, 2, 2), (2, 1, 6), (3, 1, 3)])
 def test_frobenius_is_field_automorphism(p, a, m):
     t = make_tower(p, a, m)
