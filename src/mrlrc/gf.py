@@ -16,6 +16,16 @@ all operations are pure functions, safe to share across threads.
 Fields up to config.TABLE_CAP elements build log/exp tables on first
 use and then multiply on them; odd-characteristic fields then also add,
 subtract and negate on a table of Zech logarithms.
+
+The tables come from one walk over the powers of a generator g.
+Multiplying by g is F_p-linear on the base-p digits of a code, so a
+step adds the precomputed images of the code's low and high halves of
+digits (p^ceil(n/2) + p^floor(n/2) generic products in all, for n
+digits), held one digit per bit lane: XOR in characteristic 2, else a
+lane-wise conditional subtraction of p.  Everything is built in locals
+and published log first, exp next and the Zech table last: a thread
+that finds exp set also finds log, and one that finds the Zech table
+finds all three.
 """
 
 from __future__ import annotations
@@ -92,6 +102,18 @@ class _PrimeOps:
         return None
 
 
+def _lanes(code: int, p: int, w: int) -> int:
+    """The base-p digits of code, one per w-bit lane, lowest first."""
+    if w == 1:  # p = 2: the code itself
+        return code
+    out = shift = 0
+    while code:
+        code, d = divmod(code, p)
+        out |= d << shift
+        shift += w
+    return out
+
+
 class _ExtOps:
     """Arithmetic in an extension of a base field by a monic irreducible.
 
@@ -103,6 +125,14 @@ class _ExtOps:
     digit until the tables exist, and then on one period of Zech
     logarithms built with them (Lidl-Niederreiter, Finite Fields, ch. 9),
     as do subtraction and negation.
+
+    `_ensure_tables` walks x -> x*g on lane-packed digit vectors (see
+    the module docstring) and raises AssertionError if g's order is
+    short of size - 1.  It publishes `_log` and `_half` before `_exp`,
+    and `_zech` last, because `mul`, `inv`, `pow` and `tables` test
+    `_exp`, and `add`, `sub` and `neg` test `_zech`, before they read
+    the others.  `_mul_raw` serves fields above the cap, the generator
+    search and the images of the half-digit codes.
     """
 
     __slots__ = (
@@ -264,28 +294,73 @@ class _ExtOps:
         if self.size > config.TABLE_CAP:
             return False
         g = self._find_generator()
-        n1 = self.size - 1
-        exp = [1] * (2 * n1)
-        log = [0] * self.size
-        v = 1
-        for i in range(n1):
-            exp[i] = v
-            exp[i + n1] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
-        if v != 1:
+        p = self.char
+        size = self.size
+        n1 = size - 1
+        # x -> x*g is F_p-linear on the base-p digits of x's code (an F_q
+        # digit is a group of base-p digits), so x*g is the sum of the
+        # images of x's low k digits and of its high n - k digits.  The
+        # walk keeps x lane-packed, one w-bit lane per digit: w = 1 in
+        # characteristic 2, where the sum is XOR; otherwise the lanes
+        # hold sums below 2p, and 2^(w-1) >= p flags those to reduce.
+        n = 1
+        while p**n < size:
+            n += 1
+        k = n // 2
+        split = p**k
+        w = 1 if p == 2 else (1 << (p - 1).bit_length()).bit_length()
+        shift = w * k
+        mask = (1 << shift) - 1
+        lo_img = [0] * (mask + 1)
+        lo_code = [0] * (mask + 1)
+        for x in range(split):
+            lane = _lanes(x, p, w)
+            lo_img[lane] = _lanes(self._mul_raw(x, g), p, w)
+            lo_code[lane] = x
+        hi_img = [0] * (1 << (w * (n - k)))
+        hi_code = [0] * len(hi_img)
+        for x in range(0, size, split):
+            lane = _lanes(x // split, p, w)
+            hi_img[lane] = _lanes(self._mul_raw(x, g), p, w)
+            hi_code[lane] = x
+        exp = [0] * n1
+        log = [0] * size
+        v = c = 1  # lanes and code of g^i; one and the same in characteristic 2
+        if p == 2:
+            for i in range(n1):
+                exp[i] = c
+                log[c] = i
+                c = lo_img[c & mask] ^ hi_img[c >> shift]
+        else:
+            ones = _lanes(n1 // (p - 1), p, w)  # 1 in every lane
+            bias = ((1 << (w - 1)) - p) * ones
+            tops = ones << (w - 1)
+            for i in range(n1):
+                exp[i] = c
+                log[c] = i
+                v = lo_img[v & mask] + hi_img[v >> shift]
+                v -= (((v + bias) & tops) >> (w - 1)) * p
+                c = lo_code[v & mask] + hi_code[v >> shift]
+        # g^n1 = 1 for every nonzero g; g generates iff the walk did not
+        # come back to 1 earlier, i.e. iff log[1] kept the 0 of step 0
+        if c != 1 or log[1] != 0:
             raise AssertionError("generator order mismatch")
-        self._exp = exp
-        self._log = log
-        if self.char != 2:
+        # free before exp doubles and the Zech table is built: a lower peak
+        del lo_img, lo_code, hi_img, hi_code
+        exp *= 2
+        zech = None
+        if p != 2:
             # 1 + x only changes the constant F_p digit of x, which is the
             # code of x mod p at every level of the tower
-            p1 = self.char - 1
-            zech = [log[x - p1 if x % self.char == p1 else x + 1]
+            p1 = p - 1
+            zech = [log[x - p1 if x % p == p1 else x + 1]
                     for x in islice(exp, n1)]
-            self._half = n1 // 2
-            zech[self._half] = -1  # 1 + alpha^(n1/2) = 1 - 1 = 0
-            self._zech = zech
+            zech[n1 // 2] = -1  # 1 + alpha^(n1/2) = 1 - 1 = 0
+        # publish in the order the class docstring explains
+        self._log = log
+        self._half = n1 // 2
+        self._exp = exp
+        self._zech = zech
         return True
 
     def mul(self, x, y):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import sys
+from functools import lru_cache
 
 import pytest
 
+from mrlrc import gf
 from mrlrc.errors import FormatError, ParameterError
 from mrlrc.gf import FieldTower, make_tower, parse_tower_line, tower_line
 
@@ -232,3 +235,165 @@ def test_tower_line_rejects_wrong_polynomial():
         parse_tower_line("p=2 a=1 m=2")  # missing ext_poly
     with pytest.raises(FormatError):
         parse_tower_line("p=x a=1 m=2")
+
+
+# -- log/exp/Zech table construction ----------------------------------
+
+
+def _fresh_ops(p, a, m):
+    """A new _ExtOps for the top field of a tower, with no tables yet."""
+    ops = make_tower(p, a, m)._ops["top"]
+    return gf._ExtOps(ops.base, ops.modulus)
+
+
+@lru_cache(maxsize=None)
+def _reference_tables(p, a, m):
+    """exp, log and Zech lists from one generic product per element and
+    from digit-by-digit addition, for the generator the tables use."""
+    ops = _fresh_ops(p, a, m)
+    g = ops._find_generator()
+    n1 = ops.size - 1
+    exp, log = [], [0] * ops.size
+    v = 1
+    for i in range(n1):
+        exp.append(v)
+        log[v] = i
+        v = ops._mul_raw(v, g)
+    assert v == 1
+    zech = None
+    if p != 2:
+        zech = [-1 if i == n1 // 2 else log[ops._digitwise(ops.base.add, x, 1)]
+                for i, x in enumerate(exp)]
+    return exp + exp, log, zech
+
+
+def _assert_same_tables(p, a, m):
+    ops = _fresh_ops(p, a, m)
+    assert ops._ensure_tables()
+    exp, log, zech = _reference_tables(p, a, m)
+    assert ops._exp == exp
+    assert ops._log == log
+    assert ops._zech == zech
+
+
+# every extension field p^(a*m) <= 3^9 with p in {2, 3, 5, 7}, a in {1, 2}
+# (the mid field of (p, 2, m) is the top field of (p, 2, 1))
+SMALL_EXTENSIONS = [
+    (p, a, m)
+    for p in (2, 3, 5, 7)
+    for a in (1, 2)
+    for m in range(1, 15)
+    if a * m > 1 and p ** (a * m) <= 3**9
+]
+
+
+def test_chunked_walk_matches_one_product_per_element():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=20, deadline=None)
+    @hyp.given(hyp.strategies.sampled_from(SMALL_EXTENSIONS))
+    def check(key):
+        _assert_same_tables(*key)
+
+    check()
+
+
+def test_chunked_walk_matches_on_3_10():
+    _assert_same_tables(3, 1, 10)
+
+
+# _mul_raw calls _find_generator makes on a fresh 3^10 field (generator 34)
+GENERATOR_PRODUCTS_3_10 = 817
+
+
+def test_table_build_makes_no_product_per_element(monkeypatch):
+    """The walk may call the generic product only for the generator
+    search and the two half-image tables, never once per element."""
+    calls = []
+    product = gf._ExtOps._mul_raw
+
+    def counted(self, x, y):
+        calls.append(None)
+        return product(self, x, y)
+
+    monkeypatch.setattr(gf._ExtOps, "_mul_raw", counted)
+    ops = _fresh_ops(3, 1, 10)
+    assert ops._find_generator() == 34
+    assert len(calls) == GENERATOR_PRODUCTS_3_10
+    calls.clear()
+    assert ops._ensure_tables()
+    assert len(calls) <= 2 * 3**5 + GENERATOR_PRODUCTS_3_10
+
+
+def _power(ops, x, e):
+    acc = 1
+    for _ in range(e):
+        acc = ops._mul_raw(acc, x)
+    return acc
+
+
+@pytest.mark.parametrize("p,m,order", [(3, 4, 2), (3, 4, 40), (2, 4, 5), (2, 4, 3)])
+def test_non_generator_is_refused(monkeypatch, p, m, order):
+    """An element of order < q^m - 1 also satisfies g^(q^m - 1) = 1; the
+    walk must notice that it came back to 1 early and publish nothing."""
+    ops = _fresh_ops(p, 1, m)
+    n1 = ops.size - 1
+    bad = _power(ops, ops._find_generator(), n1 // order)
+    assert _power(ops, bad, order) == 1 and bad != 1
+    monkeypatch.setattr(gf._ExtOps, "_find_generator", lambda self: bad)
+    with pytest.raises(AssertionError, match="generator order"):
+        ops._ensure_tables()
+    assert ops._exp is ops._log is ops._zech is None
+
+
+@pytest.mark.parametrize("p,a,m", [(3, 2, 2), (2, 2, 3)])
+def test_tables_are_never_seen_half_published(p, a, m):
+    """Stop _ensure_tables at each of its lines, as a second thread could,
+    and use the field there: every operation must see either no tables
+    or tables it can use, and agree with the generic arithmetic."""
+    ops = _fresh_ops(p, a, m)
+    slots = ("_exp", "_log", "_zech", "_half")
+    rng = random.Random(p * 100 + a * 10 + m)
+    pairs = [(rng.randrange(ops.size), rng.randrange(1, ops.size)) for _ in range(20)]
+    expected = [
+        (ops._mul_raw(x, y), ops._pow_raw(y, ops.size - 2), ops._pow_raw(x, 5),
+         ops._digitwise(ops.base.add, x, y), ops._digitwise(ops.base.sub, x, y),
+         ops._digitwise(ops.base.sub, 0, x))
+        for x, y in pairs
+    ]
+    code = gf._ExtOps._ensure_tables.__code__
+    seen_lines, seen_states, errors = set(), set(), []
+
+    def use_the_field(frame, event, arg):
+        if event == "line" and frame.f_lineno not in seen_lines:
+            seen_lines.add(frame.f_lineno)
+            saved = [getattr(ops, s) for s in slots]
+            seen_states.add(tuple(v is None for v in saved[:3]))
+            try:
+                got = [(ops.mul(x, y), ops.inv(y), ops.pow(x, 5),
+                        ops.add(x, y), ops.sub(x, y), ops.neg(x)) for x, y in pairs]
+                if got != expected:
+                    errors.append((frame.f_lineno, "wrong result"))
+            except Exception as exc:  # noqa: BLE001 - any error is the failure
+                errors.append((frame.f_lineno, repr(exc)))
+            finally:
+                # a build started by the calls above must not hide this state
+                for s, v in zip(slots, saved):
+                    setattr(ops, s, v)
+        return use_the_field
+
+    def on_call(frame, event, arg):
+        if frame.f_code is code and frame.f_locals.get("self") is ops:
+            return use_the_field
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        assert ops._ensure_tables()
+    finally:
+        sys.settrace(previous)
+    assert errors == []
+    # the states between the first and the last store were visited
+    assert (True, False, True) in seen_states  # log set, exp not yet
+    assert (False, False, True) in seen_states  # log and exp set, Zech not yet
