@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fileio, mr, sdss
 from .codes import bch_parity_check, rs_parity_check
 from .errors import BudgetError, FormatError, MrlrcError, ParameterError
-from .gf import make_tower, tower_line
+from .gf import base_size, make_tower, tower_line
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -120,7 +120,7 @@ def _make_sdss(args, s_dim: int, h: int, n: int):
         return sdss.restrict(sdss.mds_construct(t, h + 1, s_dim, h), n)
     if args.sdss == "gv":
         m = args.m if args.m is not None else sdss.gv_dimension(
-            args.p**args.a, n, s_dim, h
+            base_size(*q_args), n, s_dim, h
         )
         t = make_tower(*q_args, m)
         return sdss.gv_greedy(t, n, s_dim, h)
@@ -253,8 +253,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    q = args.p**args.a
-    rep = sdss.bounds(q, args.n, args.r, args.h)
+    rep = sdss.bounds(base_size(args.p, args.a), args.n, args.r, args.h)
     line = (
         f"gv_m={rep.gv_m} hamming_lower={rep.hamming_lower} "
         f"singleton_lower={rep.singleton_lower}"

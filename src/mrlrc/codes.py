@@ -3,7 +3,11 @@ subcodes, and block codes over F_q^{nr} under the block Hamming metric.
 
 Distance claims are never trusted: every constructor re-checks its
 designed distance by exhaustive codeword enumeration whenever the
-codebook fits the configured budget.
+codebook fits the configured budget.  That enumeration is one Gray walk
+for every q, on codewords packed into a single int (`_min_weight`).
+Top-level parity rows become F_q coordinate rows only in
+`subfield_subcode`, and the multiples l*x, l in the F_q-basis of the
+top field, only in `pi_rows`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from math import comb
 
 from . import config
 from .errors import BudgetError, ParameterError
-from .gf import Field, FieldTower, make_tower
+from .gf import Field, FieldTower, _lane_layout, _lanes, make_tower
 from .linalg import FieldMatrix, first_dependent_subset, kernel, rank, rref
 
 
@@ -124,82 +128,41 @@ def _check_codebook(q: int, k: int, budget: int | None):
 def _min_weight(F: Field, gen_rows: list[list[int]], block: int) -> int:
     """Minimum block weight over the nonzero span of gen_rows.
 
-    Walks all q^k messages in reflected Gray order so that each step
-    changes one message digit by one, keeping the running codeword
-    update O(n).  Zero codewords from dependent rows are skipped.
+    Walks all q^k messages in reflected Gray order, so that each step
+    changes one message digit by one and adds one precomputed multiple
+    of a row to the running codeword.  That codeword is a single int
+    holding the base-p digits of every symbol in the lanes of
+    `gf._lane_layout`: a step is one XOR in characteristic 2, otherwise
+    one addition and the lane-wise reduction mod p, and a step down
+    adds the packed negation.  Zero codewords from dependent rows are
+    skipped.
     """
     k = len(gen_rows)
     n = len(gen_rows[0])
     q = F.size
+    p = F.char
     nb = n // block
-    if F.char == 2:
-        bits = (q - 1).bit_length()
+    digits, lw, bias, tops = _lane_layout(p, q, n)
+    sw = digits * lw  # bits per symbol
 
-        def pack(row):
-            acc = 0
-            for t, sym in enumerate(row):
-                acc |= sym << (t * bits)
-            return acc
+    def pack(row):
+        acc = 0
+        for t, sym in enumerate(row):
+            acc |= _lanes(sym, p, lw) << (t * sw)
+        return acc
 
-        deltas = []
-        for row in gen_rows:
-            per_digit = []
-            for d in range(q - 1):
-                step = F.sub(d + 1, d)
-                per_digit.append(pack([F.mul(step, e) for e in row]))
-            deltas.append(per_digit)
-        bw = block * bits
-        masks = [((1 << bw) - 1) << (i * bw) for i in range(nb)]
-        cw = 0
-        best = nb + 1
-        a = [0] * k
-        f = list(range(k + 1))
-        o = [1] * k
-        qm1 = q - 1
-        while True:
-            j = f[0]
-            f[0] = 0
-            if j == k:
-                break
-            if o[j] == 1:
-                d = a[j]
-                a[j] = d + 1
-            else:
-                a[j] -= 1
-                d = a[j]
-            cw ^= deltas[j][d]
-            aj = a[j]
-            if aj == 0 or aj == qm1:
-                o[j] = -o[j]
-                f[j] = f[j + 1]
-                f[j + 1] = j + 1
-            w = 0
-            for msk in masks:
-                if cw & msk:
-                    w += 1
-                    if w >= best:
-                        break
-            if 0 < w < best:
-                best = w
-                if best == 1:
-                    break
-        return best
-
-    add = F.add
+    xor = p == 2
+    steps = [F.sub(d + 1, d) for d in range(q - 1)]
     ups = []
     downs = []
     for row in gen_rows:
-        up_digit = []
-        dn_digit = []
-        for d in range(q - 1):
-            step = F.sub(d + 1, d)
-            up = [F.mul(step, e) for e in row]
-            up_digit.append(up)
-            dn_digit.append([F.neg(e) for e in up])
-        ups.append(up_digit)
-        downs.append(dn_digit)
-    bounds = [(i * block, (i + 1) * block) for i in range(nb)]
-    cw = [0] * n
+        up = [[F.mul(s, e) for e in row] for s in steps]
+        ups.append([pack(v) for v in up])
+        downs.append(ups[-1] if xor else [pack([F.neg(e) for e in v]) for v in up])
+    bw = block * sw
+    masks = [((1 << bw) - 1) << (i * bw) for i in range(nb)]
+    top = lw - 1
+    cw = 0
     best = nb + 1
     a = [0] * k
     f = list(range(k + 1))
@@ -210,31 +173,29 @@ def _min_weight(F: Field, gen_rows: list[list[int]], block: int) -> int:
         f[0] = 0
         if j == k:
             break
-        if o[j] == 1:
-            d = a[j]
-            a[j] = d + 1
-            row = ups[j][d]
-        else:
-            a[j] -= 1
-            row = downs[j][a[j]]
-        for t, dv in enumerate(row):
-            if dv:
-                cw[t] = add(cw[t], dv)
         aj = a[j]
+        if o[j] == 1:
+            step = ups[j][aj]
+            aj += 1
+        else:
+            aj -= 1
+            step = downs[j][aj]
+        a[j] = aj
+        if xor:
+            cw ^= step
+        else:
+            cw += step
+            cw -= (((cw + bias) & tops) >> top) * p
         if aj == 0 or aj == qm1:
             o[j] = -o[j]
             f[j] = f[j + 1]
             f[j + 1] = j + 1
         w = 0
-        for lo, hi in bounds:
-            t = lo
-            while t < hi:
-                if cw[t]:
-                    w += 1
+        for msk in masks:
+            if cw & msk:
+                w += 1
+                if w >= best:
                     break
-                t += 1
-            if w >= best:
-                break
         if 0 < w < best:
             best = w
             if best == 1:
@@ -274,11 +235,12 @@ def bch_parity_check(t_exp: int, delta: int) -> FieldMatrix:
     """Binary parity check of the narrow-sense BCH code of length 2^t_exp - 1
     with designed distance 2*delta + 1.
 
-    Rows are the F_2 coordinate expansions of the power rows beta^(i*j)
-    for the odd exponents i = 1, 3, ..., 2*delta-1, with beta a primitive
+    It is the subfield subcode (`subfield_subcode`) of the code whose
+    parity rows over F_{2^t_exp} are the power rows beta^(i*j) for the
+    odd exponents i = 1, 3, ..., 2*delta-1, with beta a primitive
     element (the residue of the defining polynomial's variable when that
     happens to be primitive, else the first primitive element in code
-    order).  Redundant rows are removed by row reduction.
+    order).
     """
     n = 2**t_exp - 1
     if delta < 1:
@@ -293,15 +255,11 @@ def bch_parity_check(t_exp: int, delta: int) -> FieldMatrix:
     rows = []
     for i in range(1, 2 * delta, 2):
         root = F.pow(beta, i)
-        power_row = [F.pow(root, j) for j in range(n)]
-        vecs = [t.top_to_vec(e) for e in power_row]
-        for coord in range(t_exp):
-            rows.append([v[coord] for v in vecs])
-    f2 = make_tower(2)
-    R, rk, _ = rref(FieldMatrix.from_rows(f2, "prime", rows))
-    H = FieldMatrix.from_rows(f2, "prime", R.to_rows()[:rk])
-    k = n - rk
-    if 2**k <= config.codebook_budget():
+        rows.append([F.pow(root, j) for j in range(n)])
+    Hm = subfield_subcode(FieldMatrix.from_rows(t, "top", rows))
+    # the same F_2 data, framed in the tower of F_2 itself
+    H = FieldMatrix(make_tower(2), "prime", Hm.rows, Hm.cols, Hm.data)
+    if 2 ** (n - H.rows) <= config.codebook_budget():
         code = LinearCode.from_parity(H)
         if code.min_distance() < 2 * delta + 1:
             raise AssertionError("BCH code misses its designed distance")
@@ -318,18 +276,21 @@ def subfield_subcode(H: FieldMatrix) -> FieldMatrix:
     if H.level != "top":
         raise ParameterError("parent parity check must live at the top level")
     t = H.tower
-    u = t.m
-    rows = []
+    data = []
     for i in range(H.rows):
         vecs = [t.top_to_vec(e) for e in H.row(i)]
-        for coord in range(u):
-            rows.append([v[coord] for v in vecs])
-    if not rows:
-        return FieldMatrix(t, "mid", 0, H.cols, [])
-    R, rk, _ = rref(FieldMatrix.from_rows(t, "mid", rows))
-    return FieldMatrix.from_rows(t, "mid", R.to_rows()[:rk]) if rk else FieldMatrix(
-        t, "mid", 0, H.cols, []
-    )
+        for coords in zip(*vecs):
+            data.extend(coords)
+    R, rk, _ = rref(FieldMatrix(t, "mid", H.rows * t.m, H.cols, data))
+    return FieldMatrix(t, "mid", rk, H.cols, R.data[: rk * H.cols])
+
+
+def pi_rows(t: FieldTower, syms) -> list[list[int]]:
+    """For each l in t.fq_basis(), the F_q coordinates of l*x for every
+    top-level x in syms, concatenated into one row."""
+    F = t.field("top")
+    return [[c for x in syms for c in t.top_to_vec(F.mul(l, x))]
+            for l in t.fq_basis()]
 
 
 def pi_expand(C: LinearCode) -> BlockCode:
@@ -343,16 +304,8 @@ def pi_expand(C: LinearCode) -> BlockCode:
         raise ParameterError("parent code must live at the top level")
     t = C.tower
     r = t.m
-    F = C.field()
-    lam = t.fq_basis()
     G = C.generator_matrix()
-    rows = []
-    for gi in G.to_rows():
-        for l in lam:
-            row = []
-            for sym in gi:
-                row.extend(t.top_to_vec(F.mul(l, sym)))
-            rows.append(row)
+    rows = [row for gi in G.to_rows() for row in pi_rows(t, gi)]
     if not rows:
         empty = FieldMatrix(t, "mid", 0, C.length * r, [])
         return BlockCode(LinearCode.from_generator(empty), r)

@@ -102,6 +102,23 @@ class _PrimeOps:
         return None
 
 
+def _digits(code: int, base: int, length: int) -> list[int]:
+    """The first `length` base-`base` digits of code, lowest first."""
+    out = []
+    for _ in range(length):
+        code, d = divmod(code, base)
+        out.append(d)
+    return out
+
+
+def _undigits(digits, base: int) -> int:
+    """Inverse of `_digits`: the code of a digit sequence, lowest first."""
+    code = 0
+    for d in reversed(digits):
+        code = code * base + d
+    return code
+
+
 def _lanes(code: int, p: int, w: int) -> int:
     """The base-p digits of code, one per w-bit lane, lowest first."""
     if w == 1:  # p = 2: the code itself
@@ -112,6 +129,27 @@ def _lanes(code: int, p: int, w: int) -> int:
         out |= d << shift
         shift += w
     return out
+
+
+def _lane_layout(p: int, size: int, count: int) -> tuple[int, int, int, int]:
+    """Lane packing of `count` elements of a field with size = p^n.
+
+    Returns (n, w, bias, tops): each element takes n base-p digits, one
+    per w-bit lane (`_lanes`), element i in lanes i*n to i*n + n - 1.
+    In characteristic 2 a lane is one bit, packed vectors add by XOR and
+    bias = tops = 0.  Otherwise every lane of the plain sum v of two
+    packed vectors is below 2p, and v - (((v + bias) & tops) >> (w-1)) * p
+    reduces each lane mod p: 2^(w-1) >= p, so adding 2^(w-1) - p sets a
+    lane's top bit exactly when it holds p or more.
+    """
+    n = 1
+    while p**n < size:
+        n += 1
+    if p == 2:
+        return n, 1, 0, 0
+    w = (p - 1).bit_length() + 1
+    ones = ((1 << (w * n * count)) - 1) // ((1 << w) - 1)  # 1 in every lane
+    return n, w, ((1 << (w - 1)) - p) * ones, ones << (w - 1)
 
 
 class _ExtOps:
@@ -164,22 +202,6 @@ class _ExtOps:
         self._log = None
         self._zech = None
         self._half = None
-
-    # -- coefficient vector <-> int code ------------------------------
-    def decode(self, code):
-        s = self.base_size
-        out = []
-        for _ in range(self.deg):
-            code, d = divmod(code, s)
-            out.append(d)
-        return out
-
-    def encode(self, digits):
-        s = self.base_size
-        code = 0
-        for d in reversed(digits):
-            code = code * s + d
-        return code
 
     # -- ring operations ----------------------------------------------
     def _digitwise(self, op, x, y):
@@ -252,8 +274,8 @@ class _ExtOps:
             return acc
         b = self.base
         d = self.deg
-        xs = self.decode(x)
-        ys = self.decode(y)
+        xs = _digits(x, self.base_size, d)
+        ys = _digits(y, self.base_size, d)
         prod = [0] * (2 * d - 1)
         for i, xi in enumerate(xs):
             if xi:
@@ -269,7 +291,7 @@ class _ExtOps:
                     mt = mod[t]
                     if mt:
                         prod[k - d + t] = b.sub(prod[k - d + t], b.mul(c, mt))
-        return self.encode(prod[:d])
+        return _undigits(prod[:d], self.base_size)
 
     def _pow_raw(self, x, e):
         acc = 1
@@ -300,15 +322,10 @@ class _ExtOps:
         # x -> x*g is F_p-linear on the base-p digits of x's code (an F_q
         # digit is a group of base-p digits), so x*g is the sum of the
         # images of x's low k digits and of its high n - k digits.  The
-        # walk keeps x lane-packed, one w-bit lane per digit: w = 1 in
-        # characteristic 2, where the sum is XOR; otherwise the lanes
-        # hold sums below 2p, and 2^(w-1) >= p flags those to reduce.
-        n = 1
-        while p**n < size:
-            n += 1
+        # walk keeps x lane-packed as `_lane_layout` lays it out.
+        n, w, bias, tops = _lane_layout(p, size, 1)
         k = n // 2
         split = p**k
-        w = 1 if p == 2 else (1 << (p - 1).bit_length()).bit_length()
         shift = w * k
         mask = (1 << shift) - 1
         lo_img = [0] * (mask + 1)
@@ -332,9 +349,6 @@ class _ExtOps:
                 log[c] = i
                 c = lo_img[c & mask] ^ hi_img[c >> shift]
         else:
-            ones = _lanes(n1 // (p - 1), p, w)  # 1 in every lane
-            bias = ((1 << (w - 1)) - p) * ones
-            tops = ones << (w - 1)
             for i in range(n1):
                 exp[i] = c
                 log[c] = i
@@ -501,14 +515,6 @@ def _is_irreducible(ops, poly) -> bool:
     return True
 
 
-def _digits(code: int, base: int, length: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        code, d = divmod(code, base)
-        out.append(d)
-    return out
-
-
 def _min_irreducible(ops, degree: int) -> tuple[int, ...]:
     """Monic irreducible of given degree with the smallest encoding."""
     for low in range(ops.size**degree):
@@ -516,6 +522,15 @@ def _min_irreducible(ops, degree: int) -> tuple[int, ...]:
         if _is_irreducible(ops, poly):
             return tuple(poly)
     raise AssertionError("no irreducible polynomial found")
+
+
+def base_size(p: int, a: int) -> int:
+    """q = p^a, once p is checked to be prime and a to be at least 1."""
+    if not _is_prime(p):
+        raise ParameterError(f"p={p} is not prime")
+    if a < 1:
+        raise ParameterError("extension degrees must be >= 1")
+    return p**a
 
 
 class FieldTower:
@@ -528,18 +543,17 @@ class FieldTower:
     __slots__ = ("p", "a", "m", "q", "base_poly", "ext_poly", "_ops", "_fields")
 
     def __init__(self, p: int, a: int, m: int):
-        if not _is_prime(p):
-            raise ParameterError(f"p={p} is not prime")
-        if a < 1 or m < 1:
+        q = base_size(p, a)
+        if m < 1:
             raise ParameterError("extension degrees must be >= 1")
-        if p ** (a * m) > config.SIZE_CAP:
+        if q**m > config.SIZE_CAP:
             raise ParameterError(
                 f"tower size p^(a*m) = {p}^{a * m} exceeds cap {config.SIZE_CAP}"
             )
         self.p = p
         self.a = a
         self.m = m
-        self.q = p**a
+        self.q = q
         prime_ops = _PrimeOps(p)
         if a == 1:
             self.base_poly = None
@@ -589,10 +603,7 @@ class FieldTower:
         return _digits(code, self.q, self.m)
 
     def vec_to_top(self, coords) -> int:
-        code = 0
-        for c in reversed(list(coords)):
-            code = code * self.q + c
-        return code
+        return _undigits(list(coords), self.q)
 
     # -- identity ------------------------------------------------------
     def _key(self):

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 
 from . import config
-from .codes import BlockCode, LinearCode, block_min_distance
+from .codes import BlockCode, LinearCode, block_min_distance, subfield_subcode
 from .errors import BudgetError, ParameterError
 from .gf import FieldTower, make_tower
 from .linalg import (
@@ -136,6 +136,8 @@ def _ceil_log(q: int, s: int) -> int:
 def gv_dimension(q: int, n: int, r: int, h: int) -> int:
     """Smallest ambient dimension the greedy counting argument certifies:
     r + floor(log_q sum_{i<h} C(n-1,i) (q^r-1)^i), in exact integers."""
+    if q < 2:
+        raise ParameterError(f"field size q={q} is below 2")
     total = sum(comb(n - 1, i) * (q**r - 1) ** i for i in range(h))
     return r + _floor_log(q, total)
 
@@ -162,14 +164,6 @@ def bounds(q: int, n: int, r: int, h: int) -> BoundsReport:
 
 
 # -- constructions -----------------------------------------------------
-
-
-def _vec_of_code(code: int, q: int, m: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(m):
-        code, d = divmod(code, q)
-        out.append(d)
-    return tuple(out)
 
 
 def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
@@ -199,7 +193,7 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
             group.append(tuple(v))
         basis.append(group)
     for i in range(h, n):
-        group: list[tuple[int, ...]] = []
+        group = []
         for _ in range(r):
             spans = []
             for subset in combinations(range(i), h - 1):
@@ -207,7 +201,7 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
                 work += [list(v) for v in group]
                 spans.append(list(zip(_echelonize(F, work), work)))
             for code in range(q**m):
-                v = _vec_of_code(code, q, m)
+                v = t.top_to_vec(code)
                 if all(any(_reduce_against(F, sp, v)) for sp in spans):
                     group.append(v)
                     break
@@ -221,7 +215,7 @@ def mds_construct(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
     """System with the optimal ambient dimension m = h*r, from the
     parity check of a q^r-ary [n, n-h, h+1] MDS code: group i is the
     F_q-expansion of the scalar multiples of the i-th parity column."""
-    from .codes import rs_parity_check
+    from .codes import pi_rows, rs_parity_check
 
     q = t.q
     if not 1 <= h < n:
@@ -232,18 +226,7 @@ def mds_construct(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
         raise ParameterError(f"ambient tower must have extension degree h*r={h * r}")
     helper = make_tower(t.p, t.a, r)
     H = rs_parity_check(helper, "top", n, h)
-    Ftop = helper.field("top")
-    lam = helper.fq_basis()
-    basis = []
-    for i in range(n):
-        col = [H.at(s, i) for s in range(h)]
-        group = []
-        for l in lam:
-            vec: list[int] = []
-            for entry in col:
-                vec.extend(helper.top_to_vec(Ftop.mul(l, entry)))
-            group.append(tuple(vec))
-        basis.append(group)
+    basis = [[tuple(v) for v in pi_rows(helper, H.column(i))] for i in range(n)]
     return _certify(SubspaceSystem(t, n, r, h, basis))
 
 
@@ -307,19 +290,10 @@ def subfield_construct(t: FieldTower, u: int, r: int, h: int) -> SubspaceSystem:
     else:
         ell_fq = _subfield_inside(big, u)
         bvecs = _ell_basis(big, ell_fq, r)
-    ur = u * r
-    rows = []
-    for s in range(h):
-        expanded = []
-        for j in range(n):
-            hij = H.at(s, j)
-            for b in bvecs:
-                expanded.append(big.top_to_vec(Ftop.mul(hij, b)))
-        for coord in range(ur):
-            rows.append([vec[coord] for vec in expanded])
-    Hq = FieldMatrix.from_rows(big, "mid", rows)
-    R, rk, _ = rref(Hq)
-    Hq = FieldMatrix.from_rows(big, "mid", R.to_rows()[:rk])
+    # row s is H[s][j]*b over the groups j and the basis vectors b
+    rows = [[Ftop.mul(H.at(s, j), b) for j in range(n) for b in bvecs]
+            for s in range(h)]
+    Hq = subfield_subcode(FieldMatrix.from_rows(big, "top", rows))
     block = BlockCode(LinearCode.from_parity(Hq), r)
     return from_block_code(block, h)
 

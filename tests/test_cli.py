@@ -1,5 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mrlrc
 from mrlrc import fileio
 from mrlrc.cli import main
 
@@ -109,6 +117,34 @@ def test_bounds_output(capsys):
     code, stdout, _ = run(capsys, "bounds", "--p", "2", "--n", "5", "--r", "2", "--h", "2")
     assert code == 0
     assert stdout.strip() == "gv_m=5 hamming_lower=4 singleton_lower=4"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--p", "1", "--n", "5", "--r", "3", "--h", "2"], "p=1 is not prime"),
+    (["bounds", "--p", "2", "--a", "0", "--n", "5", "--r", "3", "--h", "2"],
+     "extension degrees must be >= 1"),
+    (["bounds", "--p", "0", "--n", "5", "--r", "3", "--h", "2"], "p=0 is not prime"),
+    (["bounds", "--p", "-3", "--n", "5", "--r", "3", "--h", "2"], "p=-3 is not prime"),
+    (["bounds", "--p", "4", "--n", "5", "--r", "3", "--h", "2"], "p=4 is not prime"),
+    (["bounds", "--p", "2", "--a", "-1", "--n", "5", "--r", "3", "--h", "2"],
+     "extension degrees must be >= 1"),
+    (["sdss", "--p", "1", "--r", "3", "--h", "2", "--n", "5", "--sdss", "gv",
+      "--out", "x.sdss"], "p=1 is not prime"),
+    (["construct", "--p", "1", "--r", "3", "--h", "2", "--delta", "1", "--n", "5",
+      "--sdss", "gv", "--out", "x.mr"], "p=1 is not prime"),
+    (["construct", "--p", "4", "--r", "3", "--h", "2", "--delta", "1", "--n", "5",
+      "--sdss", "gv", "--out", "x.mr"], "p=4 is not prime"),
+])
+def test_bad_base_field_exits_2(tmp_path, argv, message):
+    # in a child process with a timeout, so that a hang fails the test
+    src = Path(mrlrc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "mrlrc.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_bounds_achieved(tmp_path, capsys):

@@ -239,8 +239,12 @@ def test_block_min_distance_budget():
 
 def test_min_weight_gray_walk_matches_brute():
     rng = random.Random(29)
+    # odd q with one- and two-digit symbols, lanes of 3 and 4 bits, and
+    # F_9 reached both as F_q and as F_{q^m}
     cases = [(make_tower(2), "prime", 2), (make_tower(2, 1, 2), "top", 2),
-             (make_tower(3), "prime", 3)]
+             (make_tower(3), "prime", 3), (make_tower(5), "prime", 2),
+             (make_tower(7), "prime", 2), (make_tower(3, 2), "mid", 2),
+             (make_tower(3, 1, 2), "top", 2), (make_tower(2, 1, 3), "top", 2)]
     for tower, level, r in cases:
         F = tower.field(level)
         for _ in range(15):

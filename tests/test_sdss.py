@@ -93,6 +93,14 @@ def test_gv_dimension_values():
     assert gv_dimension(2, 2, 2, 2) == 4  # n = h collapses to hr
 
 
+def test_bounds_reject_field_size_below_2():
+    for q in (1, 0, -3):
+        with pytest.raises(ParameterError):
+            gv_dimension(q, 5, 3, 2)
+        with pytest.raises(ParameterError):
+            bounds(q, 5, 3, 2)
+
+
 def test_gv_greedy_one_dimensional():
     t = make_tower(2, 1, 3)
     S = gv_greedy(t, 4, 1, 2)
