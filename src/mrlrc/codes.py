@@ -17,7 +17,7 @@ from math import comb
 from . import config
 from .errors import BudgetError, ParameterError
 from .gf import Field, FieldTower, _lane_layout, _lanes, make_tower
-from .linalg import FieldMatrix, first_dependent_subset, kernel, rank, rref
+from .linalg import FieldMatrix, first_dependent_subset, kernel, matmul, rank, rref
 
 
 class LinearCode:
@@ -53,18 +53,8 @@ class LinearCode:
         return cls(generator.tower, generator.level, generator.cols, generator=generator)
 
     def _check_duality(self):
-        F = self.field()
-        G, H = self._generator, self._parity
-        for i in range(G.rows):
-            grow = G.row(i)
-            for j in range(H.rows):
-                hrow = H.row(j)
-                acc = 0
-                for a, b in zip(grow, hrow):
-                    if a and b:
-                        acc = F.add(acc, F.mul(a, b))
-                if acc:
-                    raise ParameterError("generator and parity matrices disagree")
+        if any(matmul(self._generator, self._parity.transpose()).data):
+            raise ParameterError("generator and parity matrices disagree")
 
     def field(self) -> Field:
         return self.tower.field(self.level)

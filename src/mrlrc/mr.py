@@ -7,6 +7,7 @@ h x r Moore blocks D_i whose first rows span the subspaces of a
 certified direct sum system.  Verification re-proves maximal
 recoverability by enumerating every erasure pattern (delta positions
 per group plus h more anywhere) and rank-checking the selected columns;
+exhaustive and sampled checks are one strided walk (enumerate_patterns);
 the structured verifier reaches the same verdict with one h x h rank
 check per erased support.  Every rank, determinant and subset check
 goes through the shared kernel in linalg.
@@ -106,11 +107,7 @@ class MrParityCheck:
 
 
 def _is_moore(t: FieldTower, M: FieldMatrix) -> bool:
-    for i in range(1, M.rows):
-        for j in range(M.cols):
-            if M.at(i, j) != t.frobenius(M.at(i - 1, j), 1):
-                return False
-    return True
+    return M.data == moore_matrix(t, M.row(0), M.rows).data
 
 
 def _assemble(spec: MrCodeSpec, A: FieldMatrix, D: list[FieldMatrix]) -> FieldMatrix:
@@ -258,20 +255,14 @@ def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem,
         raise ParameterError(
             f"inner code distance below h+delta+1: columns {sel} are dependent"
         )
-    Ftop = t.field("top")
+    # F_q codes embed as constants, so the inner parity reads over the top
+    # field as it is
+    inner_top = FieldMatrix(t, "top", s, spec.r, inner.data)
     A = local_parity_check(t, spec.r, spec.delta)
     D = []
     for group in S.basis:
         alphas = [t.vec_to_top(v) for v in group]
-        betas = []
-        for j in range(spec.r):
-            acc = 0
-            for w in range(s):
-                c = inner.at(w, j)
-                if c:
-                    acc = Ftop.add(acc, Ftop.mul(c, alphas[w]))
-            betas.append(acc)
-        D.append(moore_matrix(t, betas, spec.h))
+        D.append(moore_matrix(t, vec_mat(alphas, inner_top), spec.h))
     return MrParityCheck(spec, A, D)
 
 
@@ -295,46 +286,58 @@ def pattern_count(spec: MrCodeSpec) -> int:
     )
 
 
-def enumerate_patterns(spec: MrCodeSpec):
-    """All maximal erasure patterns in lexicographic order: per-group
-    delta-subsets vary combinadically (last group fastest), then the
-    h extras over the remaining positions."""
-    n, r, delta, h = spec.n, spec.r, spec.delta, spec.h
-    group_choices = [
-        [tuple(i * r + j for j in sel) for sel in combinations(range(r), delta)]
-        for i in range(n)
-    ]
-    for pg in product(*group_choices):
-        taken = set()
-        for g in pg:
-            taken.update(g)
-        rest = [c for c in range(spec.N) if c not in taken]
-        for extra in combinations(rest, h):
+def _block(spec: MrCodeSpec, block: int):
+    """Per-group delta-subsets of the block-th block (a block holds the
+    patterns that share them; first group slowest) and the positions
+    left for the extras."""
+    n, r, delta = spec.n, spec.r, spec.delta
+    per_group_combos = comb(r, delta)
+    pg = [()] * n
+    for i in reversed(range(n)):
+        block, rk = divmod(block, per_group_combos)
+        pg[i] = tuple(i * r + j for j in _unrank_combination(r, delta, rk))
+    taken = {c for g in pg for c in g}
+    return tuple(pg), [c for c in range(spec.N) if c not in taken]
+
+
+def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
+    """The maximal erasure patterns at indices 0, step, 2*step, ... of
+    the lexicographic order: per-group delta-subsets vary combinadically
+    (last group fastest), then the h extras over the remaining
+    positions.  Step 1 is every pattern.  Each block of patterns sharing
+    their per-group subsets is decoded once, and blocks holding no
+    sampled index are skipped; within a block the extras come from
+    combinations at step 1 and are unranked at step > 1."""
+    if step < 1:
+        raise ParameterError("pattern step must be positive")
+    h = spec.h
+    extras_total = comb(spec.N - spec.n * spec.delta, h)
+    total = pattern_count(spec)
+    index = 0
+    while index < total:
+        block, first = divmod(index, extras_total)
+        pg, rest = _block(spec, block)
+        offsets = range(first, extras_total, step)
+        if step == 1:
+            extras = combinations(rest, h)
+        else:
+            extras = (tuple(rest[j] for j in _unrank_combination(len(rest), h, e))
+                      for e in offsets)
+        for extra in extras:
             yield ErasurePattern(per_group=pg, extra=extra)
+        index += step * len(offsets)
 
 
 def pattern_at(spec: MrCodeSpec, index: int) -> ErasurePattern:
-    """Pattern at a given position of the enumerate_patterns stream."""
-    n, r, delta, h = spec.n, spec.r, spec.delta, spec.h
-    per_group_combos = comb(r, delta)
-    extras_total = comb(spec.N - n * delta, h)
-    if not 0 <= index < per_group_combos**n * extras_total:
+    """Pattern at a given index of the enumerate_patterns(spec) stream,
+    decoded on its own; the index oracle for the walk."""
+    extras_total = comb(spec.N - spec.n * spec.delta, spec.h)
+    if not 0 <= index < pattern_count(spec):
         raise ParameterError("pattern index out of range")
-    index, extra_idx = divmod(index, extras_total)
-    ranks = []
-    for _ in range(n):
-        index, rk = divmod(index, per_group_combos)
-        ranks.append(rk)
-    ranks.reverse()  # first group varies slowest
-    pg = []
-    taken = set()
-    for i, rk in enumerate(ranks):
-        sel = tuple(i * r + j for j in _unrank_combination(r, delta, rk))
-        pg.append(sel)
-        taken.update(sel)
-    rest = [c for c in range(spec.N) if c not in taken]
-    extra = tuple(rest[j] for j in _unrank_combination(len(rest), h, extra_idx))
-    return ErasurePattern(per_group=tuple(pg), extra=extra)
+    block, e = divmod(index, extras_total)
+    pg, rest = _block(spec, block)
+    extra = tuple(rest[j] for j in _unrank_combination(len(rest), spec.h, e))
+    return ErasurePattern(per_group=pg, extra=extra)
 
 
 # -- verification -------------------------------------------------------
@@ -372,34 +375,23 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
         raise BudgetError(
             f"{total} erasure patterns exceed the budget; pass a sample size"
         )
+    if sample is not None and sample < 1:
+        raise ParameterError("sample size must be positive")
+    step = 1 if sample is None else max(1, total // sample)
     F = spec.tower.field("top")
     k = spec.n * spec.delta + spec.h
-    H = P.H
-    cols = [H.column(j) for j in range(H.cols)]
+    cols = [P.H.column(j) for j in range(P.H.cols)]
     checked = 0
-
-    def pattern_ok(idxs) -> bool:
-        return _rank_rows(F, [cols[c] for c in idxs]) == k
-
-    if sample is None:
-        for pat in enumerate_patterns(spec):
-            checked += 1
-            if not pattern_ok(pat.columns()):
-                return VerifyReport(False, checked, pat, None,
-                                    perf_counter() - t0,
-                                    reason="dependent erasure pattern")
-        return VerifyReport(True, checked, None, None, perf_counter() - t0)
-    if sample < 1:
-        raise ParameterError("sample size must be positive")
-    step = max(1, total // sample)
-    for index in range(0, total, step):
-        pat = pattern_at(spec, index)
+    failure = None
+    for pat in enumerate_patterns(spec, step):
         checked += 1
-        if not pattern_ok(pat.columns()):
-            return VerifyReport(False, checked, pat, checked,
-                                perf_counter() - t0,
-                                reason="dependent erasure pattern")
-    return VerifyReport(True, checked, None, checked, perf_counter() - t0)
+        if _rank_rows(F, [cols[c] for c in pat.columns()]) != k:
+            failure = pat
+            break
+    return VerifyReport(failure is None, checked, failure,
+                        None if sample is None else checked,
+                        perf_counter() - t0,
+                        reason="" if failure is None else "dependent erasure pattern")
 
 
 def _compositions(total: int, parts: int, cap: int):

@@ -136,6 +136,10 @@ def _ceil_log(q: int, s: int) -> int:
 def gv_dimension(q: int, n: int, r: int, h: int) -> int:
     """Smallest ambient dimension the greedy counting argument certifies:
     r + floor(log_q sum_{i<h} C(n-1,i) (q^r-1)^i), in exact integers."""
+    if n < 1 or r < 1 or h < 1:
+        raise ParameterError("need n, r, h >= 1")
+    if h > n:
+        raise ParameterError("h cannot exceed the number of subspaces")
     if q < 2:
         raise ParameterError(f"field size q={q} is below 2")
     total = sum(comb(n - 1, i) * (q**r - 1) ** i for i in range(h))
@@ -152,8 +156,6 @@ class BoundsReport:
 def bounds(q: int, n: int, r: int, h: int) -> BoundsReport:
     """Greedy upper bound and the packing/Singleton lower bounds on the
     least ambient dimension admitting a system with these parameters."""
-    if h < 1 or n < 1 or r < 1:
-        raise ParameterError("need n, r, h >= 1")
     gv_m = gv_dimension(q, n, r, h)
     if h >= 2:
         total = sum(comb(n, i) * (q**r - 1) ** i for i in range(h // 2 + 1))
@@ -176,8 +178,6 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
     where the guarantee of finding such a vector is void.
     """
     q, m = t.q, t.m
-    if not 1 <= h <= n:
-        raise ParameterError("need 1 <= h <= n")
     need = gv_dimension(q, n, r, h)
     if m < need:
         raise ParameterError(

@@ -147,6 +147,26 @@ def test_bad_base_field_exits_2(tmp_path, argv, message):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sdss", "--p", "2", "--r", "3", "--h", "2", "--n", "-5", "--sdss", "gv"],
+     "need n, r, h >= 1"),
+    (["construct", "--p", "2", "--r", "3", "--h", "2", "--delta", "1", "--n", "0",
+      "--sdss", "gv"], "need n, r, h >= 1"),
+    (["sdss", "--p", "2", "--r", "0", "--h", "2", "--n", "5", "--sdss", "gv"],
+     "need n, r, h >= 1"),
+    (["bounds", "--p", "2", "--n", "5", "--r", "3", "--h", "9"],
+     "h cannot exceed the number of subspaces"),
+])
+def test_bad_system_parameters_exit_2(tmp_path, capsys, argv, message):
+    if argv[0] != "bounds":
+        argv = argv + ["--out", str(tmp_path / "x")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_bounds_achieved(tmp_path, capsys):
     out = tmp_path / "c.mr"
     run(capsys, "construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1",

@@ -94,6 +94,18 @@ def test_rs_rejects_too_long():
         rs_parity_check(make_tower(2), "prime", 4, 2)  # r > q+1
 
 
+def test_linear_code_checks_generator_against_parity():
+    t = make_tower(5)
+    H = rs_parity_check(t, "prime", 4, 2)
+    G = kernel(H)
+    code = LinearCode(t, "prime", 4, generator=G, parity=H)
+    assert code.dim == 2
+    # unit rows are independent but not orthogonal to an MDS parity check
+    with pytest.raises(ParameterError, match="disagree"):
+        LinearCode(t, "prime", 4, parity=H,
+                   generator=FieldMatrix.from_rows(t, "prime", [[1, 0, 0, 0], [0, 1, 0, 0]]))
+
+
 # -- BCH -------------------------------------------------------------------
 
 

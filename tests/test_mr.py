@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -269,6 +270,59 @@ def test_pattern_at_matches_stream():
         assert pattern_at(spec, i) == p
     with pytest.raises(ParameterError):
         pattern_at(spec, len(pats))
+
+
+def reference_patterns(spec):
+    """Oracle: the maximal patterns in lexicographic order, a product of
+    per-group combinations, then combinations of the rest."""
+    n, r, delta, h = spec.n, spec.r, spec.delta, spec.h
+    groups = [[tuple(i * r + j for j in sel) for sel in combinations(range(r), delta)]
+              for i in range(n)]
+    out = []
+    for pg in product(*groups):
+        taken = {c for g in pg for c in g}
+        rest = [c for c in range(spec.N) if c not in taken]
+        out.extend(ErasurePattern(per_group=pg, extra=e) for e in combinations(rest, h))
+    return out
+
+
+def test_strided_walk_matches_reference_and_index_oracle():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    t = make_tower(2, 1, 3)
+
+    @st.composite
+    def specs_and_steps(draw):
+        n = draw(st.integers(1, 4))
+        r = draw(st.integers(2, 5))
+        delta = draw(st.integers(1, r - 1))
+        h = draw(st.integers(1, 3))
+        hyp.assume(n * (r - delta) - h >= 1)  # dimension k >= 1
+        spec = MrCodeSpec(n=n, r=r, h=h, delta=delta, tower=t)
+        hyp.assume(pattern_count(spec) <= 3000)
+        return spec, draw(st.integers(1, pattern_count(spec) + 3))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(specs_and_steps())
+    def check(case):
+        spec, drawn = case
+        ref = reference_patterns(spec)
+        total = len(ref)
+        assert total == pattern_count(spec)
+        block_size = comb(spec.N - spec.n * spec.delta, spec.h)
+        for step in {1, drawn, block_size + 1}:
+            walk = list(enumerate_patterns(spec, step))
+            assert walk == ref[::step]
+            assert walk == [pattern_at(spec, i) for i in range(0, total, step)]
+
+    check()
+
+
+def test_walk_rejects_step_below_1():
+    spec = MrCodeSpec(n=2, r=3, h=1, delta=1, tower=make_tower(2, 1, 3))
+    for step in (0, -1):
+        with pytest.raises(ParameterError):
+            list(enumerate_patterns(spec, step))
 
 
 def test_verify_mr_budget_and_sampling():
