@@ -107,31 +107,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _make_sdss(args, s_dim: int, h: int, n: int):
-    """Build the requested system at subspace dimension s_dim."""
+def _sdss_builder(args, s_dim: int, h: int, n: int):
+    """Check the parameters of the requested system and size its tower;
+    returns the step that builds it at subspace dimension s_dim."""
     q_args = (args.p, args.a)
     if args.sdss == "mds":
         m = args.m if args.m is not None else h * s_dim
         t = make_tower(*q_args, m)
         if n > h:
-            return sdss.mds_construct(t, n, s_dim, h)
+            return lambda: sdss.mds_construct(t, n, s_dim, h)
         # the MDS construction needs more groups than h; build one spare
         # group and drop it so n = h still works
-        return sdss.restrict(sdss.mds_construct(t, h + 1, s_dim, h), n)
+        return lambda: sdss.restrict(sdss.mds_construct(t, h + 1, s_dim, h), n)
     if args.sdss == "gv":
-        m = args.m if args.m is not None else sdss.gv_dimension(
-            base_size(*q_args), n, s_dim, h
-        )
-        t = make_tower(*q_args, m)
-        return sdss.gv_greedy(t, n, s_dim, h)
-    S = sdss.subfield_construct(make_tower(*q_args), args.u, s_dim, h)
-    if S.n < n:
-        raise ParameterError(
-            f"subfield construction yields n={S.n} groups, fewer than requested {n}"
-        )
-    if S.n > n:
-        S = sdss.restrict(S, n)
-    return S
+        need = sdss.gv_dimension(base_size(*q_args), n, s_dim, h)
+        t = make_tower(*q_args, args.m if args.m is not None else need)
+        return lambda: sdss.gv_greedy(t, n, s_dim, h)
+    t = make_tower(*q_args)
+
+    def build():
+        S = sdss.subfield_construct(t, args.u, s_dim, h)
+        if S.n < n:
+            raise ParameterError(
+                f"subfield construction yields n={S.n} groups, fewer than requested {n}"
+            )
+        return sdss.restrict(S, n) if S.n > n else S
+
+    return build
 
 
 def _parse_inner(spec: str, tower):
@@ -169,23 +171,28 @@ def _summary(spec: mr.MrCodeSpec, args, S) -> str:
 
 def cmd_construct(args) -> int:
     n, r, h, delta = args.n, args.r, args.h, args.delta
-    if args.method == "direct":
-        S = _make_sdss(args, r, h, n)
-        spec = mr.MrCodeSpec(n=n, r=r, h=h, delta=delta, tower=S.tower)
-        P = mr.build_direct(spec, S)
-    else:
+    t_q = make_tower(args.p, args.a)
+    inner = None
+    s_dim = r
+    if args.method == "concat":
         if not args.inner:
             raise ParameterError("concat construction needs --inner")
-        t_q = make_tower(args.p, args.a)
         s_dim, inner = _parse_inner(args.inner, t_q)
         if inner.cols != r:
             raise ParameterError(
                 f"inner code length {inner.cols} does not match --r {r}"
             )
-        S = _make_sdss(args, s_dim, h, n)
+    build = _sdss_builder(args, s_dim, h, n)
+    # a code that cannot exist over F_q fails here, before the system build
+    mr.MrCodeSpec(n=n, r=r, h=h, delta=delta, tower=t_q)
+    mr.local_parity_check(t_q, r, delta)
+    S = build()
+    spec = mr.MrCodeSpec(n=n, r=r, h=h, delta=delta, tower=S.tower)
+    if inner is None:
+        P = mr.build_direct(spec, S)
+    else:
         # re-frame the inner parity in the ambient tower's mid level
         inner = type(inner)(S.tower, "mid", inner.rows, inner.cols, inner.data)
-        spec = mr.MrCodeSpec(n=n, r=r, h=h, delta=delta, tower=S.tower)
         P = mr.build_concatenated(spec, S, inner)
     sdss_path = args.sdss_out or (args.out + ".sdss")
     Path(sdss_path).write_text(fileio.format_sdss(S))
@@ -198,7 +205,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_sdss(args) -> int:
-    S = _make_sdss(args, args.r, args.h, args.n)
+    S = _sdss_builder(args, args.r, args.h, args.n)()
     Path(args.out).write_text(fileio.format_sdss(S))
     print(
         f"n={S.n} r={S.r} h={S.h} m={S.m} q={S.tower.q} "
@@ -260,6 +267,13 @@ def cmd_bounds(args) -> int:
     )
     if args.achieved:
         S = fileio.parse_sdss(Path(args.achieved).read_text())
+        got = (S.tower.q, S.n, S.r, S.h)
+        want = (base_size(args.p, args.a), args.n, args.r, args.h)
+        if got != want:
+            raise ParameterError(
+                "achieved system has q={} n={} r={} h={}, not q={} n={} r={} h={}"
+                .format(*got, *want)
+            )
         line += f" achieved_m={S.m}"
     print(line)
     return EXIT_OK

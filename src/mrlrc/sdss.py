@@ -15,7 +15,7 @@ from math import comb
 from . import config
 from .codes import BlockCode, LinearCode, block_min_distance, subfield_subcode
 from .errors import BudgetError, ParameterError
-from .gf import FieldTower, make_tower
+from .gf import FieldTower, _digits, _lane_layout, make_tower
 from .linalg import (
     FieldMatrix,
     first_dependent_subset,
@@ -168,6 +168,93 @@ def bounds(q: int, n: int, r: int, h: int) -> BoundsReport:
 # -- constructions -----------------------------------------------------
 
 
+def _fp_rows(t: FieldTower, vec) -> list[list[int]]:
+    """F_p-expansions of b*vec for b in the basis 1, x, ..., x^(a-1) of
+    F_q over F_p: the base-p digits of each product's top-level code.
+    Their F_p-span is the F_q-span of vec; for a = 1 it is vec itself."""
+    F = t.field("mid")
+    p, n = t.p, t.a * t.m
+    return [
+        _digits(t.vec_to_top([F.mul(p**j, c) for c in vec]), p, n)
+        for j in range(t.a)
+    ]
+
+
+def _span_checks(t: FieldTower, rows: list[list[int]]) -> list[list[int]]:
+    """F_p parity-check basis of the span of F_p rows: x lies in the span
+    iff y.x = 0 for every returned y."""
+    n = t.a * t.m
+    M = FieldMatrix(t, "prime", len(rows), n, [d for row in rows for d in row])
+    return kernel(M).to_rows()
+
+
+def _first_outside(p: int, n: int, check_sets: list[list[list[int]]],
+                   start: int) -> int | None:
+    """Smallest code in [start, p^n) whose base-p digits (lowest first)
+    fail some check of every set, or None.
+
+    Every check gets one w-bit lane (`gf._lane_layout`), and a guard bit
+    above each set's lanes stays zero; the word holds all syndromes of
+    the current code.  Going from c to c+1 adds e_0 + ... + e_k to the
+    digits, where k counts the trailing (p-1) digits of c (they wrap to
+    0, which is +1 mod p), so the word takes one lane-wise mod-p addition
+    of the precomputed syndrome of e_0 + ... + e_k.  Subtracting a 1 at
+    the bottom of each set's field borrows from its guard bit exactly
+    when the field is zero, that is when the code lies in that span.
+    """
+    w = _lane_layout(p, p, 1)[1]
+    cols = [0] * n
+    guards = ones = tops = 0
+    shift = 0
+    for checks in check_sets:
+        ones |= 1 << shift
+        for y in checks:
+            for i, d in enumerate(y):
+                if d:
+                    cols[i] |= d << shift
+            tops |= 1 << (shift + w - 1)
+            shift += w
+        guards |= 1 << shift
+        shift += 1
+    bias = (tops >> (w - 1)) * ((1 << (w - 1)) - p)
+
+    def add(x, y):
+        # lane-wise mod p, as _lane_layout explains; XOR in characteristic 2
+        if p == 2:
+            return x ^ y
+        x += y
+        return x - (((x + bias) & tops) >> (w - 1)) * p
+
+    steps = []
+    acc = 0
+    for col in cols:
+        acc = add(acc, col)
+        steps.append(acc)
+    steps.append(0)  # the step past the last code, never taken
+    word = 0
+    for col, d in zip(cols, _digits(start, p, n)):
+        for _ in range(d):
+            word = add(word, col)
+    # the scans below take `add` inline: it is most of their time
+    if p == 2:
+        for c in range(start, 1 << n):
+            if ((word | guards) - ones) & guards == guards:
+                return c
+            word ^= steps[(c ^ (c + 1)).bit_length() - 1]
+        return None
+    last = p - 1
+    for c in range(start, p**n):
+        if ((word | guards) - ones) & guards == guards:
+            return c
+        k, x = 0, c
+        while x % p == last:
+            x //= p
+            k += 1
+        word += steps[k]
+        word -= (((word + bias) & tops) >> (w - 1)) * p
+    return None
+
+
 def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
     """Greedy construction backed by the counting argument.
 
@@ -176,6 +263,13 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
     of every (h-1)-subset of earlier groups joined with the partial
     group being built.  Refuses ambient dimensions below gv_dimension,
     where the guarantee of finding such a vector is void.
+
+    Each slot takes an F_p parity-check basis of every span it must
+    avoid, and scans the codes against all their syndromes at once,
+    packed into one int (`_first_outside`).  A code's F_p coordinates
+    are the base-p digits of the code itself.  Within a group the scan
+    resumes after the previous slot's vector: the spans only grow from
+    slot to slot, so every code up to that vector is still inside one.
     """
     q, m = t.q, t.m
     need = gv_dimension(q, n, r, h)
@@ -183,7 +277,6 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
         raise ParameterError(
             f"ambient dimension {m} is below the greedy guarantee {need}"
         )
-    F = t.field("mid")
     basis = []
     for i in range(h):
         group = []
@@ -192,22 +285,24 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
             v[i * r + j] = 1
             group.append(tuple(v))
         basis.append(group)
+    # F_p-expansion of every group, and of the partial group being built
+    expanded = [[row for v in group for row in _fp_rows(t, v)] for group in basis]
     for i in range(h, n):
-        group = []
+        group, partial = [], []
+        code = -1
         for _ in range(r):
-            spans = []
-            for subset in combinations(range(i), h - 1):
-                work = [list(v) for g in subset for v in basis[g]]
-                work += [list(v) for v in group]
-                spans.append(list(zip(_echelonize(F, work), work)))
-            for code in range(q**m):
-                v = t.top_to_vec(code)
-                if all(any(_reduce_against(F, sp, v)) for sp in spans):
-                    group.append(v)
-                    break
-            else:
+            check_sets = [
+                _span_checks(t, [row for g in subset for row in expanded[g]] + partial)
+                for subset in combinations(range(i), h - 1)
+            ]
+            code = _first_outside(t.p, t.a * m, check_sets, code + 1)
+            if code is None:
                 raise AssertionError("greedy scan exhausted; counting bound violated")
+            v = tuple(t.top_to_vec(code))
+            group.append(v)
+            partial += _fp_rows(t, v)
         basis.append(group)
+        expanded.append(partial)
     return _certify(SubspaceSystem(t, n, r, h, basis))
 
 

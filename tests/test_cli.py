@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mrlrc
-from mrlrc import fileio
+from mrlrc import fileio, sdss
 from mrlrc.cli import main
 
 
@@ -175,6 +175,54 @@ def test_bounds_achieved(tmp_path, capsys):
                           "--h", "2", "--achieved", str(out) + ".sdss")
     assert code == 0
     assert stdout.strip().endswith("achieved_m=4")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--p", "2", "--r", "4", "--h", "3", "--delta", "4", "--n", "8",
+      "--sdss", "gv"], "need 1 <= delta <= r-1"),
+    (["construct", "--p", "2", "--r", "6", "--h", "3", "--delta", "2", "--n", "16",
+      "--sdss", "gv"],
+     "local group length 6 over F_2 needs r <= q+1 unless delta is 1 or r-1"),
+])
+def test_construct_rejects_impossible_code_before_building(tmp_path, monkeypatch,
+                                                          argv, message):
+    # in a child process with a timeout, so that a long build fails the test
+    src = Path(mrlrc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "mrlrc.cli", *argv, "--out", "x.mr"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert not any(tmp_path.iterdir())
+
+    # and in this process, no system is built at all
+    def no_build(*args):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(sdss, "gv_greedy", no_build)
+    assert main([*argv, "--out", str(tmp_path / "x.mr")]) == 2
+
+
+def test_bounds_achieved_rejects_other_parameters(tmp_path, capsys):
+    system = tmp_path / "q4.sdss"
+    run(capsys, "sdss", "--p", "2", "--a", "2", "--n", "6", "--r", "2", "--h", "2",
+        "--sdss", "gv", "--out", str(system))
+    code, stdout, _ = run(capsys, "bounds", "--p", "2", "--a", "2", "--n", "6",
+                          "--r", "2", "--h", "2", "--achieved", str(system))
+    assert code == 0
+    assert stdout.strip().endswith("achieved_m=5")
+    for argv, want in [
+        (["--p", "2", "--n", "8", "--r", "4", "--h", "3"], "q=2 n=8 r=4 h=3"),
+        (["--p", "2", "--n", "6", "--r", "2", "--h", "2"], "q=2 n=6 r=2 h=2"),
+    ]:
+        code, stdout, err = run(capsys, "bounds", *argv, "--achieved", str(system))
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [
+            f"error: achieved system has q=4 n=6 r=2 h=2, not {want}"
+        ]
 
 
 def test_encode_decode_round_trip(tmp_path, capsys):

@@ -42,6 +42,36 @@ VERIFY_README_COPY_1_TO_3_SAMPLE_500 = [
 ]
 
 
+# `mrlrc sdss ... --sdss gv` outside the benchmark's q = 2 and q = 3:
+# (arguments, stdout, SHA-256 of the system file), recorded before the
+# greedy scan moved to packed syndrome words
+GV_SDSS = [
+    (["--p", "2", "--a", "2", "--n", "8", "--r", "2", "--h", "3"],
+     ["n=8 r=2 h=3 m=8 q=4 certified=1"],
+     "9ccb835c7907b21cd90596afd23c2ef33eec5749315acae44aed67fac0beebb3"),
+    (["--p", "2", "--a", "2", "--n", "7", "--r", "3", "--h", "2"],
+     ["n=7 r=3 h=2 m=7 q=4 certified=1"],
+     "79513b2c49c2aed2be402f6734031a6b3650a73cd47b84d0c49b4472888109c2"),
+    (["--p", "5", "--n", "8", "--r", "2", "--h", "3"],
+     ["n=8 r=2 h=3 m=7 q=5 certified=1"],
+     "7f7c2f4d54fe48bf6acd41a1541703344ddb75a035c4470e3864e3043f805a44"),
+    (["--p", "5", "--n", "5", "--r", "3", "--h", "2"],
+     ["n=5 r=3 h=2 m=6 q=5 certified=1"],
+     "3faab6cc0dcc82ae8c5f38fd593306b68fa9ea4f17d2920b2636a3ed314099d4"),
+]
+
+
+@pytest.mark.parametrize("args,stdout,sha256", GV_SDSS,
+                         ids=["-".join(a[1::2]) for a, _, _ in GV_SDSS])
+def test_gv_sdss_matches_recorded_output(args, stdout, sha256, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.delenv("MRLRC_BUDGET", raising=False)
+    out = tmp_path / "gv.sdss"
+    assert main(["sdss", *args, "--sdss", "gv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == stdout
+    assert _sha256(out) == sha256
+
+
 def _construct(label: str, tmp_path: Path) -> Path:
     cmd = next(c for c in CONSTRUCT if c["label"] == label)
     out = tmp_path / f"{label}.mr"

@@ -8,7 +8,7 @@ import pytest
 from mrlrc.codes import BlockCode, LinearCode, block_min_distance
 from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
-from mrlrc.linalg import FieldMatrix, _rank_rows
+from mrlrc.linalg import FieldMatrix, _echelonize, _rank_rows, _reduce_against
 from mrlrc.sdss import (
     BoundsReport,
     SubspaceSystem,
@@ -144,6 +144,59 @@ def test_gv_greedy_never_picks_inside_exclusion():
             for subset in combinations(range(i), h - 1):
                 rows = [v for g in subset for v in S.basis[g]] + partial
                 assert not in_span(F, rows, chosen)
+
+
+def reference_gv_basis(t, n, r, h):
+    """The scan gv_greedy ran before its packed syndrome word: for every
+    slot, every code from 0 up, one `_reduce_against` elimination per
+    span until the code lies outside all of them."""
+    q, m = t.q, t.m
+    F = t.field("mid")
+    basis = [[tuple(int(k == i * r + j) for k in range(m)) for j in range(r)]
+             for i in range(h)]
+    for i in range(h, n):
+        group = []
+        for _ in range(r):
+            spans = []
+            for subset in combinations(range(i), h - 1):
+                work = [list(v) for g in subset for v in basis[g]]
+                work += [list(v) for v in group]
+                spans.append(list(zip(_echelonize(F, work), work)))
+            for code in range(q**m):
+                v = t.top_to_vec(code)
+                if all(any(_reduce_against(F, sp, v)) for sp in spans):
+                    group.append(tuple(v))
+                    break
+            else:
+                raise AssertionError("greedy scan exhausted")
+        basis.append(group)
+    return basis
+
+
+# (p, a, n, r, h, m) for q in {2, 3, 4, 5, 7, 9}, m at the greedy
+# guarantee and one above, small enough for the reference scan
+GV_CASES = [
+    (p, a, n, r, h, m)
+    for p, a in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2))
+    for n in range(1, 7)
+    for r in range(1, 4)
+    for h in range(1, n + 1)
+    for m in (gv_dimension(p**a, n, r, h), gv_dimension(p**a, n, r, h) + 1)
+    if p ** (a * m) <= 3**9
+]
+
+
+def test_gv_greedy_matches_reference_scan():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(hyp.strategies.sampled_from(GV_CASES))
+    def check(case):
+        p, a, n, r, h, m = case
+        t = make_tower(p, a, m)
+        assert gv_greedy(t, n, r, h).basis == reference_gv_basis(t, n, r, h)
+
+    check()
 
 
 # -- MDS construction ----------------------------------------------------------
