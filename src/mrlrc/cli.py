@@ -111,32 +111,34 @@ def _sdss_builder(args, s_dim: int, h: int, n: int):
     """Check the parameters of the requested system and size its tower;
     returns the step that builds it at subspace dimension s_dim."""
     q_args = (args.p, args.a)
+    budget = args.budget
     if args.sdss == "mds":
         m = args.m if args.m is not None else h * s_dim
         t = make_tower(*q_args, m)
         if n > h:
-            return lambda: sdss.mds_construct(t, n, s_dim, h)
+            return lambda: sdss.mds_construct(t, n, s_dim, h, budget)
         # the MDS construction needs more groups than h; build one spare
         # group and drop it so n = h still works
-        return lambda: sdss.restrict(sdss.mds_construct(t, h + 1, s_dim, h), n)
+        return lambda: sdss.restrict(
+            sdss.mds_construct(t, h + 1, s_dim, h, budget), n, budget)
     if args.sdss == "gv":
         need = sdss.gv_dimension(base_size(*q_args), n, s_dim, h)
         t = make_tower(*q_args, args.m if args.m is not None else need)
-        return lambda: sdss.gv_greedy(t, n, s_dim, h)
+        return lambda: sdss.gv_greedy(t, n, s_dim, h, budget)
     t = make_tower(*q_args)
 
     def build():
-        S = sdss.subfield_construct(t, args.u, s_dim, h)
+        S = sdss.subfield_construct(t, args.u, s_dim, h, budget)
         if S.n < n:
             raise ParameterError(
                 f"subfield construction yields n={S.n} groups, fewer than requested {n}"
             )
-        return sdss.restrict(S, n) if S.n > n else S
+        return sdss.restrict(S, n, budget) if S.n > n else S
 
     return build
 
 
-def _parse_inner(spec: str, tower):
+def _parse_inner(spec: str, tower, budget: int | None = None):
     """Inner code spec: bch:<r>:<delta> or rs:<r>:<s>; returns (s, parity)."""
     parts = spec.split(":")
     if len(parts) != 3:
@@ -153,7 +155,7 @@ def _parse_inner(spec: str, tower):
         t_exp = (r + 1).bit_length() - 1
         if 2**t_exp - 1 != r:
             raise ParameterError("bch inner length must be 2^t - 1")
-        H = bch_parity_check(t_exp, x)
+        H = bch_parity_check(t_exp, x, budget)
         return H.rows, H
     if kind == "rs":
         H = rs_parity_check(make_tower(tower.p, tower.a), "mid", r, x)
@@ -177,7 +179,7 @@ def cmd_construct(args) -> int:
     if args.method == "concat":
         if not args.inner:
             raise ParameterError("concat construction needs --inner")
-        s_dim, inner = _parse_inner(args.inner, t_q)
+        s_dim, inner = _parse_inner(args.inner, t_q, args.budget)
         if inner.cols != r:
             raise ParameterError(
                 f"inner code length {inner.cols} does not match --r {r}"
@@ -193,7 +195,7 @@ def cmd_construct(args) -> int:
     else:
         # re-frame the inner parity in the ambient tower's mid level
         inner = type(inner)(S.tower, "mid", inner.rows, inner.cols, inner.data)
-        P = mr.build_concatenated(spec, S, inner)
+        P = mr.build_concatenated(spec, S, inner, args.budget)
     sdss_path = args.sdss_out or (args.out + ".sdss")
     Path(sdss_path).write_text(fileio.format_sdss(S))
     Path(args.out).write_text(fileio.format_mr(P))
@@ -325,6 +327,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.budget is not None and args.budget < 1:
+            raise ParameterError("--budget must be positive")
         return _HANDLERS[args.cmd](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

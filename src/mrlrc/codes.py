@@ -221,7 +221,8 @@ def rs_parity_check(t: FieldTower, level: str, r: int, delta: int) -> FieldMatri
     return A
 
 
-def bch_parity_check(t_exp: int, delta: int) -> FieldMatrix:
+def bch_parity_check(t_exp: int, delta: int,
+                     budget: int | None = None) -> FieldMatrix:
     """Binary parity check of the narrow-sense BCH code of length 2^t_exp - 1
     with designed distance 2*delta + 1.
 
@@ -249,7 +250,7 @@ def bch_parity_check(t_exp: int, delta: int) -> FieldMatrix:
     Hm = subfield_subcode(FieldMatrix.from_rows(t, "top", rows))
     # the same F_2 data, framed in the tower of F_2 itself
     H = FieldMatrix(make_tower(2), "prime", Hm.rows, Hm.cols, Hm.data)
-    if 2 ** (n - H.rows) <= config.codebook_budget():
+    if 2 ** (n - H.rows) <= config.codebook_budget(budget):
         code = LinearCode.from_parity(H)
         if code.min_distance() < 2 * delta + 1:
             raise AssertionError("BCH code misses its designed distance")

@@ -11,6 +11,8 @@ checks, direct sums of subspaces, block distances.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -350,21 +352,50 @@ def _unrank_combination(m: int, k: int, idx: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=16)
+def _comb_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Row s holds C(c, s) for c = 0..m, for s = 0..k."""
+    return tuple(tuple(comb(c, s) for c in range(m + 1)) for s in range(k + 1))
+
+
+def _strided_combinations(pool, k: int, step: int = 1, first: int = 0):
+    """The k-subsets of `pool` (as tuples of its items) at indices first,
+    first + step, first + 2*step, ... of the lexicographic order.
+
+    At step > 1 each subset is read off its index from the end, written
+    in the combinatorial number system: the largest c with C(c, s) at
+    most what is left, for s = k down to 1, found by bisecting a table
+    of C(., s) (_comb_tables).
+    """
+    pool = tuple(pool)
+    m = len(pool)
+    if step == 1 and first == 0:
+        yield from combinations(pool, k)
+        return
+    tables = _comb_tables(m, k)
+    total = tables[k][m]
+    last = m - 1
+    for idx in range(first, total, step):
+        left = total - 1 - idx
+        sel = []
+        for s in range(k, 0, -1):
+            table = tables[s]
+            c = bisect_right(table, left) - 1
+            left -= table[c]
+            sel.append(pool[last - c])
+        yield tuple(sel)
+
+
 def first_dependent_subset(F: Field, groups, k: int, step: int = 1):
     """Walk the k-subsets of `groups` (each a list of rows) in
     lexicographic order, rank-checking the stacked rows of each.
 
     Returns (the first subset whose rows are dependent, or None; the
     number of subsets checked).  With step > 1 only the subsets at
-    indices 0, step, 2*step, ... are checked, each found by unranking.
+    indices 0, step, 2*step, ... are checked (_strided_combinations).
     """
-    n = len(groups)
-    if step == 1:
-        sels = combinations(range(n), k)
-    else:
-        sels = (_unrank_combination(n, k, i) for i in range(0, comb(n, k), step))
     checked = 0
-    for sel in sels:
+    for sel in _strided_combinations(range(len(groups)), k, step):
         checked += 1
         rows = [v for i in sel for v in groups[i]]
         if _rank_rows(F, rows) != len(rows):

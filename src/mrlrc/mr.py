@@ -6,11 +6,13 @@ parity A on the diagonal (one copy per group) and a bottom band of
 h x r Moore blocks D_i whose first rows span the subspaces of a
 certified direct sum system.  Verification re-proves maximal
 recoverability by enumerating every erasure pattern (delta positions
-per group plus h more anywhere) and rank-checking the selected columns;
-exhaustive and sampled checks are one strided walk (enumerate_patterns);
-the structured verifier reaches the same verdict with one h x h rank
-check per erased support.  Every rank, determinant and subset check
-goes through the shared kernel in linalg.
+per group plus h more anywhere); exhaustive and sampled checks are one
+strided walk (enumerate_patterns).  With the local block MDS, each
+group's delta positions carry its local pivots, so a pattern costs one
+h x h rank check of its h extras reduced against them (verify_mr); the
+structured verifier reaches the same verdict with one h x h rank check
+per erased support.  Every rank, determinant and subset check goes
+through the shared kernel in linalg.
 
 The erasure codec decodes an erased set densely the first time it sees
 it and from a cached decode plan when the set comes back, with the
@@ -41,6 +43,7 @@ from .linalg import (
     vec_mat,
     _echelonize,
     _rank_rows,
+    _strided_combinations,
     _unrank_combination,
 )
 from .sdss import SubspaceSystem
@@ -219,8 +222,8 @@ def build_direct(spec: MrCodeSpec, S: SubspaceSystem) -> MrParityCheck:
     return MrParityCheck(spec, A, D)
 
 
-def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem,
-                       inner: FieldMatrix) -> MrParityCheck:
+def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix,
+                       budget: int | None = None) -> MrParityCheck:
     """Moore-band construction through an inner [r, r-s, d >= h+delta+1]
     code: the Moore blocks run over combinations of the subspace basis
     given by the inner parity columns, so any h+delta of them stay
@@ -246,7 +249,7 @@ def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem,
             f"inner code cannot have {need} independent columns with only {s} rows"
         )
     total = comb(spec.r, need)
-    if total > config.subset_budget():
+    if total > config.subset_budget(budget):
         raise BudgetError(f"{total} column subsets exceed the budget")
     sel, _ = first_dependent_subset(
         Fq_inner, [[inner.column(j)] for j in range(inner.cols)], need
@@ -306,8 +309,8 @@ def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
     (last group fastest), then the h extras over the remaining
     positions.  Step 1 is every pattern.  Each block of patterns sharing
     their per-group subsets is decoded once, and blocks holding no
-    sampled index are skipped; within a block the extras come from
-    combinations at step 1 and are unranked at step > 1."""
+    sampled index are skipped; within a block the extras come from one
+    strided combination walk (linalg._strided_combinations)."""
     if step < 1:
         raise ParameterError("pattern step must be positive")
     h = spec.h
@@ -317,15 +320,9 @@ def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
     while index < total:
         block, first = divmod(index, extras_total)
         pg, rest = _block(spec, block)
-        offsets = range(first, extras_total, step)
-        if step == 1:
-            extras = combinations(rest, h)
-        else:
-            extras = (tuple(rest[j] for j in _unrank_combination(len(rest), h, e))
-                      for e in offsets)
-        for extra in extras:
+        for extra in _strided_combinations(rest, h, step, first):
             yield ErasurePattern(per_group=pg, extra=extra)
-        index += step * len(offsets)
+        index += step * len(range(first, extras_total, step))
 
 
 def pattern_at(spec: MrCodeSpec, index: int) -> ErasurePattern:
@@ -355,6 +352,36 @@ class VerifyReport:
     checks: int | None = None
 
 
+def _reduced_columns(P: MrParityCheck, g: int, S: tuple[int, ...]) -> dict:
+    """Column c -> w(S, c) = D_g[:, c] - D_g|_S (A|_S)^-1 A[:, c] for the
+    columns c of group g outside its delta-subset S (absolute positions):
+    the global rows of column c once the local pivots on S are
+    eliminated from it.  Only the delta local rows are echelonized;
+    the global rows take the multipliers and are never mixed."""
+    spec = P.spec
+    F = spec.tower.field("top")
+    H, r, delta = P.H, spec.r, spec.delta
+    rest = [c for c in range(g * r, (g + 1) * r) if c not in S]
+    work = [[H.at(g * delta + s, c) for c in S + tuple(rest)]
+            for s in range(delta)]
+    if _echelonize(F, work) != list(range(delta)):
+        raise AssertionError("MDS local block has a singular delta-subset")
+    # work is now [I | (A|_S)^-1 A|_rest]
+    sub, mul = F.sub, F.mul
+    glob = [H.row(spec.n * delta + i) for i in range(spec.h)]
+    out = {}
+    for t, c in enumerate(rest, start=delta):
+        w = []
+        for row in glob:
+            acc = row[c]
+            for s, pos in enumerate(S):
+                if work[s][t] and row[pos]:
+                    acc = sub(acc, mul(row[pos], work[s][t]))
+            w.append(acc)
+        out[c] = w
+    return out
+
+
 def verify_mr(P: MrParityCheck, budget: int | None = None,
               sample: int | None = None) -> VerifyReport:
     """Check the two parity-check conditions by enumeration.
@@ -364,6 +391,11 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
         are independent.  Exhaustive unless `sample` is given, in which
         case an evenly strided subset of at least that many patterns is
         checked and the report is labelled accordingly.
+
+    With A MDS, the delta columns S_g a pattern erases in group g carry
+    the group's local pivots, so (b) holds iff the h extras, reduced
+    against them (_reduced_columns, one table per group and subset),
+    have rank h: one h x h rank check per pattern.
     """
     t0 = perf_counter()
     spec = P.spec
@@ -379,13 +411,22 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
         raise ParameterError("sample size must be positive")
     step = 1 if sample is None else max(1, total // sample)
     F = spec.tower.field("top")
-    k = spec.n * spec.delta + spec.h
-    cols = [P.H.column(j) for j in range(P.H.cols)]
+    h = spec.h
+    tables = {}
+    pg = reduced = None
     checked = 0
     failure = None
     for pat in enumerate_patterns(spec, step):
         checked += 1
-        if _rank_rows(F, [cols[c] for c in pat.columns()]) != k:
+        # the patterns of one block share one per_group tuple
+        if pat.per_group is not pg:
+            pg = pat.per_group
+            reduced = {}
+            for g, S in enumerate(pg):
+                if S not in tables:
+                    tables[S] = _reduced_columns(P, g, S)
+                reduced.update(tables[S])
+        if _rank_rows(F, [reduced[c] for c in pat.extra]) != h:
             failure = pat
             break
     return VerifyReport(failure is None, checked, failure,

@@ -255,7 +255,8 @@ def _first_outside(p: int, n: int, check_sets: list[list[list[int]]],
     return None
 
 
-def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
+def gv_greedy(t: FieldTower, n: int, r: int, h: int,
+              budget: int | None = None) -> SubspaceSystem:
     """Greedy construction backed by the counting argument.
 
     Seeds the first h groups with unit vectors, then fills every later
@@ -303,10 +304,11 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
             partial += _fp_rows(t, v)
         basis.append(group)
         expanded.append(partial)
-    return _certify(SubspaceSystem(t, n, r, h, basis))
+    return _certify(SubspaceSystem(t, n, r, h, basis), budget)
 
 
-def mds_construct(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
+def mds_construct(t: FieldTower, n: int, r: int, h: int,
+                  budget: int | None = None) -> SubspaceSystem:
     """System with the optimal ambient dimension m = h*r, from the
     parity check of a q^r-ary [n, n-h, h+1] MDS code: group i is the
     F_q-expansion of the scalar multiples of the i-th parity column."""
@@ -322,7 +324,7 @@ def mds_construct(t: FieldTower, n: int, r: int, h: int) -> SubspaceSystem:
     helper = make_tower(t.p, t.a, r)
     H = rs_parity_check(helper, "top", n, h)
     basis = [[tuple(v) for v in pi_rows(helper, H.column(i))] for i in range(n)]
-    return _certify(SubspaceSystem(t, n, r, h, basis))
+    return _certify(SubspaceSystem(t, n, r, h, basis), budget)
 
 
 def _subfield_inside(t: FieldTower, u: int):
@@ -361,7 +363,8 @@ def _ell_basis(t: FieldTower, ell_basis_fq: list[int], r: int) -> list[int]:
     raise AssertionError("top field too small for the requested basis")
 
 
-def subfield_construct(t: FieldTower, u: int, r: int, h: int) -> SubspaceSystem:
+def subfield_construct(t: FieldTower, u: int, r: int, h: int,
+                       budget: int | None = None) -> SubspaceSystem:
     """System with n = 1 + q^(u*r) groups by cutting the MDS block
     construction over F_{q^u} down to F_q coordinates.
 
@@ -390,16 +393,17 @@ def subfield_construct(t: FieldTower, u: int, r: int, h: int) -> SubspaceSystem:
             for s in range(h)]
     Hq = subfield_subcode(FieldMatrix.from_rows(big, "top", rows))
     block = BlockCode(LinearCode.from_parity(Hq), r)
-    return from_block_code(block, h)
+    return from_block_code(block, h, budget)
 
 
-def restrict(S: SubspaceSystem, n_new: int) -> SubspaceSystem:
+def restrict(S: SubspaceSystem, n_new: int,
+             budget: int | None = None) -> SubspaceSystem:
     """The system on the first n_new groups; direct sums are inherited,
     but the result is re-certified from scratch anyway."""
     if not S.h <= n_new <= S.n:
         raise ParameterError("need h <= n_new <= n")
     sub = SubspaceSystem(S.tower, n_new, S.r, S.h, S.basis[:n_new])
-    return _certify(sub)
+    return _certify(sub, budget)
 
 
 # -- block-code equivalence --------------------------------------------

@@ -77,6 +77,42 @@ def test_verify_budget_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_construct_budget_flag_acts_like_the_environment(tmp_path, capsys,
+                                                         monkeypatch):
+    # C(5, 2) = 10 subsets: a budget of 3 leaves only a sampled certification
+    args = ["construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1",
+            "--n", "5"]
+    monkeypatch.delenv("MRLRC_BUDGET", raising=False)
+    flag = run(capsys, *args, "--budget", "3", "--out", str(tmp_path / "a.mr"))
+    monkeypatch.setenv("MRLRC_BUDGET", "3")
+    env = run(capsys, *args, "--out", str(tmp_path / "b.mr"))
+    assert flag == env
+    assert flag[0] == 0 and "certified=0" in flag[1].splitlines()[0]
+    monkeypatch.delenv("MRLRC_BUDGET")
+    code, stdout, _ = run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2",
+                          "--n", "5", "--budget", "3", "--out", str(tmp_path / "s.sdss"))
+    assert code == 0 and stdout.rstrip().endswith("certified=0")
+    # the concatenated build gates its C(15, 3) inner column subsets on it
+    code, _, err = run(capsys, "construct", "--p", "2", "--r", "15", "--h", "2",
+                       "--delta", "1", "--n", "3", "--method", "concat",
+                       "--inner", "bch:15:2", "--budget", "100",
+                       "--out", str(tmp_path / "c.mr"))
+    assert code == 3 and "455 column subsets exceed the budget" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_1_is_a_usage_error(tmp_path, capsys, budget):
+    out = tmp_path / "c.mr"
+    run(capsys, "construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1",
+        "--n", "4", "--out", str(out))
+    for argv in (["verify", "--in", str(out)],
+                 ["construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1",
+                  "--n", "5", "--out", str(tmp_path / "d.mr")]):
+        code, stdout, err = run(capsys, *argv, "--budget", budget)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["error: --budget must be positive"]
+
+
 def test_verify_sdss_file(tmp_path, capsys):
     out = tmp_path / "s.sdss"
     code, stdout, _ = run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2",

@@ -103,3 +103,49 @@ def test_sampled_verify_counterexample_matches_recorded_output(tmp_path, capsys,
     corrupt = tmp_path / "corrupt.mr"
     corrupt.write_text(fileio.format_mr(MrParityCheck(base.spec, base.A, D)))
     assert _verify_stdout(corrupt, 500, capsys) == (1, VERIFY_README_COPY_1_TO_3_SAMPLE_500)
+
+
+# `mrlrc verify -v` stdout (with elapsed= removed) and stderr, recorded
+# before the sampled walk reduced each pattern to an h x h rank check
+VERIFY_CONCAT_BCH_SAMPLE_100000 = (
+    ["ok patterns_checked=100203 sampled=100203"],
+    ["# verify mode=dense checks=100203 patterns_covered=100203"],
+)
+# construct --p 3 --r 4 --h 3 --delta 2 --n 3 with group 1's Moore block
+# copied into group 2
+VERIFY_P3_R4_COPY_1_TO_2_SAMPLE_100 = (
+    ["FAIL patterns_checked=7 sampled=7",
+     "reason: dependent erasure pattern",
+     "counterexample: per_group=((0, 1), (4, 7), (8, 9)) extra=(5, 10, 11)"],
+    ["# verify mode=dense checks=7 patterns_covered=7"],
+)
+
+
+def _verify_verbose(path: Path, sample: int, capsys) -> tuple[int, tuple]:
+    capsys.readouterr()
+    code = main(["verify", "--in", str(path), "--sample", str(sample), "-v"])
+    out, err = capsys.readouterr()
+    return code, (re.sub(r" elapsed=\S+", "", out).splitlines(), err.splitlines())
+
+
+def test_sampled_verify_100000_matches_recorded_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MRLRC_BUDGET", raising=False)
+    out = _construct("concat-bch", tmp_path)
+    assert _verify_verbose(out, 100000, capsys) == (0, VERIFY_CONCAT_BCH_SAMPLE_100000)
+
+
+def test_sampled_verify_odd_characteristic_counterexample(tmp_path, capsys,
+                                                          monkeypatch):
+    from mrlrc import fileio
+    from mrlrc.mr import MrParityCheck
+
+    monkeypatch.delenv("MRLRC_BUDGET", raising=False)
+    out = tmp_path / "p3.mr"
+    assert main(["construct", "--p", "3", "--r", "4", "--h", "3", "--delta", "2",
+                 "--n", "3", "--out", str(out)]) == 0
+    base = fileio.parse_mr(out.read_text())
+    D = list(base.D)
+    D[2] = D[1]
+    corrupt = tmp_path / "corrupt.mr"
+    corrupt.write_text(fileio.format_mr(MrParityCheck(base.spec, base.A, D)))
+    assert _verify_verbose(corrupt, 100, capsys) == (1, VERIFY_P3_R4_COPY_1_TO_2_SAMPLE_100)

@@ -10,6 +10,7 @@ from mrlrc.gf import make_tower
 from mrlrc.linalg import (
     FieldMatrix,
     _rank_rows,
+    _strided_combinations,
     _unrank_combination,
     columns_independent,
     first_dependent_subset,
@@ -188,6 +189,24 @@ def test_unrank_combination_matches_lexicographic_order():
     for m, k in ((5, 2), (7, 3), (6, 6), (4, 1)):
         for idx, sel in enumerate(combinations(range(m), k)):
             assert _unrank_combination(m, k, idx) == sel
+
+
+def test_strided_combinations_match_sliced_lexicographic_order():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(m=st.integers(0, 12), k=st.integers(0, 5), step=st.integers(1, 40),
+               first=st.integers(0, 60))
+    def check(m, k, step, first):
+        want = list(combinations(range(m), k))[first::step]
+        assert list(_strided_combinations(range(m), k, step, first)) == want
+        # any pool: the items at those positions
+        pool = [chr(97 + i) for i in range(m)]
+        assert list(_strided_combinations(pool, k, step, first)) == [
+            tuple(pool[i] for i in sel) for sel in want]
+
+    check()
 
 
 def test_first_dependent_subset_strided_matches_filtered_walk():

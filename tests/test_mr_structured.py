@@ -1,20 +1,26 @@
-"""The per-support MR verifier against the dense pattern walk."""
+"""The MR verifiers against each other: the per-support verifier against
+the pattern walk, and the walk's h x h checks against the plain k x k walk
+(reference_verify_mr)."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
+from time import perf_counter
 
 import pytest
 
-from mrlrc.errors import BudgetError
+from mrlrc import config, mr
+from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
-from mrlrc.linalg import FieldMatrix
+from mrlrc.linalg import FieldMatrix, _rank_rows, is_mds_parity_check
 from mrlrc.mr import (
     MrCodeSpec,
     MrParityCheck,
+    VerifyReport,
     build_direct,
     moore_matrix,
+    pattern_at,
     pattern_count,
     verify_mr,
     verify_mr_structured,
@@ -51,6 +57,57 @@ def base_code(p, a, r, h, delta, n):
     return build_direct(spec, mds_construct(t, n, r, h))
 
 
+def reference_verify_mr(P, budget=None, sample=None) -> VerifyReport:
+    """Oracle for verify_mr: the same gates, then one rank check of all
+    n*delta + h erased columns of H per pattern, each pattern decoded
+    on its own by pattern_at."""
+    t0 = perf_counter()
+    spec = P.spec
+    if not is_mds_parity_check(P.A, spec.delta):
+        return VerifyReport(False, 0, None, None, perf_counter() - t0,
+                            reason="local parity block is not MDS")
+    total = pattern_count(spec)
+    if sample is None and total > config.subset_budget(budget):
+        raise BudgetError("too many erasure patterns")
+    if sample is not None and sample < 1:
+        raise ParameterError("sample size must be positive")
+    step = 1 if sample is None else max(1, total // sample)
+    F = spec.tower.field("top")
+    cols = [P.H.column(j) for j in range(P.H.cols)]
+    checked = 0
+    failure = None
+    for index in range(0, total, step):
+        pat = pattern_at(spec, index)
+        checked += 1
+        erased = pat.columns()
+        if _rank_rows(F, [cols[c] for c in erased]) != len(erased):
+            failure = pat
+            break
+    return VerifyReport(failure is None, checked, failure,
+                        None if sample is None else checked,
+                        perf_counter() - t0,
+                        reason="" if failure is None else "dependent erasure pattern")
+
+
+def corrupt(P, kind, rnd):
+    """P with the Moore block of one group j replaced, by the copy of
+    another group i's block, a random Moore block, or its own block with
+    one alpha borrowed from group i."""
+    spec, t = P.spec, P.spec.tower
+    i, j = rnd.sample(range(spec.n), 2)
+    D = list(P.D)
+    if kind == "copy":
+        D[j] = D[i]
+    elif kind == "random":
+        size = t.field("top").size
+        D[j] = moore_matrix(t, [rnd.randrange(size) for _ in range(spec.r)], spec.h)
+    else:  # one alpha of group j borrowed from group i
+        alphas = D[j].row(0)
+        alphas[rnd.randrange(spec.r)] = D[i].at(0, rnd.randrange(spec.r))
+        D[j] = moore_matrix(t, alphas, spec.h)
+    return MrParityCheck(spec, P.A, D)
+
+
 def same_verdict(a, b) -> bool:
     """Equal reports apart from the timing and the checks each mode did."""
     return replace(a, elapsed=0.0, checks=None) == replace(b, elapsed=0.0, checks=None)
@@ -71,20 +128,7 @@ def test_structured_matches_dense_on_bases(base):
        kind=st.sampled_from(("copy", "random", "borrow")),
        rnd=st.randoms(use_true_random=False))
 def test_structured_matches_dense_on_corrupted_moore_blocks(base, kind, rnd):
-    P = base_code(*base)
-    spec, t = P.spec, P.spec.tower
-    i, j = rnd.sample(range(spec.n), 2)
-    D = list(P.D)
-    if kind == "copy":
-        D[j] = D[i]
-    elif kind == "random":
-        size = t.field("top").size
-        D[j] = moore_matrix(t, [rnd.randrange(size) for _ in range(spec.r)], spec.h)
-    else:  # one alpha of group j borrowed from group i
-        alphas = D[j].row(0)
-        alphas[rnd.randrange(spec.r)] = D[i].at(0, rnd.randrange(spec.r))
-        D[j] = moore_matrix(t, alphas, spec.h)
-    bad = MrParityCheck(spec, P.A, D)
+    bad = corrupt(base_code(*base), kind, rnd)
     a, b = verify_mr_structured(bad), verify_mr(bad)
     assert same_verdict(a, b)
     assert a.checks >= 1
@@ -120,3 +164,45 @@ def test_structured_budget_and_local_gate():
     assert not a.ok and same_verdict(a, b)
     assert a.reason == "local parity block is not MDS"
 
+
+
+def without_elapsed(report):
+    return replace(report, elapsed=0.0)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.sampled_from(BASES),
+       kind=st.sampled_from(("none", "copy", "random", "borrow")),
+       how=st.sampled_from(("all", "small", "total")),
+       small=st.integers(1, 60),
+       rnd=st.randoms(use_true_random=False))
+def test_verify_mr_matches_reference_walk(base, kind, how, small, rnd):
+    P = base_code(*base)
+    if kind != "none":
+        P = corrupt(P, kind, rnd)
+    total = pattern_count(P.spec)
+    sample = {"all": None, "small": small, "total": total + small}[how]
+    a, b = verify_mr(P, sample=sample), reference_verify_mr(P, sample=sample)
+    assert without_elapsed(a) == without_elapsed(b)
+    if kind == "none":
+        assert a.ok
+
+
+def test_verify_mr_matches_reference_walk_on_non_mds_local_block():
+    P = base_code(2, 1, 3, 2, 1, 5)
+    A = FieldMatrix(P.A.tower, P.A.level, 1, 3, [1, 1, 0])  # column 2 is zero
+    bad = MrParityCheck(P.spec, A, P.D)
+    for sample in (None, 7):
+        a, b = verify_mr(bad, sample=sample), reference_verify_mr(bad, sample=sample)
+        assert not a.ok and without_elapsed(a) == without_elapsed(b)
+
+
+def test_verify_mr_asserts_the_local_gate(monkeypatch):
+    # past a gate that wrongly passes, the singular delta-subset {2} of
+    # A is a broken invariant, not a verdict
+    P = base_code(2, 1, 3, 2, 1, 5)
+    A = FieldMatrix(P.A.tower, P.A.level, 1, 3, [1, 1, 0])
+    monkeypatch.setattr(mr, "is_mds_parity_check", lambda A, delta: True)
+    with pytest.raises(AssertionError):
+        verify_mr(MrParityCheck(P.spec, A, P.D))
