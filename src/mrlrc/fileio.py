@@ -45,6 +45,13 @@ def _int(fields: dict[str, str], key: str) -> int:
         raise FormatError(f"field {key} is not an integer") from exc
 
 
+def _ints(line: str, what: str) -> list[int]:
+    try:
+        return [int(token) for token in line.split()]
+    except ValueError as exc:
+        raise FormatError(f"{what} holds a non-integer entry: {line!r}") from exc
+
+
 class _Lines:
     """Cursor over the lines of a text artifact."""
 
@@ -85,10 +92,10 @@ def _read_matrix(cur: _Lines) -> FieldMatrix:
     cols = _int(fields, "cols")
     data = []
     for _ in range(rows):
-        parts = cur.next().split()
-        if len(parts) != cols:
+        row = _ints(cur.next(), "matrix row")
+        if len(row) != cols:
             raise FormatError("matrix row has the wrong width")
-        data.extend(int(p) for p in parts)
+        data.extend(row)
     try:
         return FieldMatrix(tower, level, rows, cols, data)
     except Exception as exc:
@@ -155,10 +162,10 @@ def parse_sdss(text: str) -> SubspaceSystem:
     for _ in range(n):
         group = []
         for _ in range(r):
-            parts = cur.next().split()
-            if len(parts) != m:
+            v = _ints(cur.next(), "basis vector")
+            if len(v) != m:
                 raise FormatError("basis vector has the wrong width")
-            group.append(tuple(int(p) for p in parts))
+            group.append(tuple(v))
         basis.append(group)
     try:
         return SubspaceSystem(tower, n, r, h, basis, certified=bool(certified))

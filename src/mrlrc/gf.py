@@ -583,10 +583,6 @@ class FieldTower:
     def level_size(self, level: str) -> int:
         return self.field(level).size
 
-    def check_code(self, level: str, code: int) -> None:
-        if not 0 <= code < self.level_size(level):
-            raise ParameterError(f"code {code} out of range for level {level}")
-
     # -- top-level structure over F_q -----------------------------------
     def frobenius(self, x: int, i: int = 1) -> int:
         """x^(q^i) in the top field; i = 0 is the identity."""
@@ -657,7 +653,10 @@ def parse_tower_line(line: str) -> FieldTower:
         raise FormatError(str(exc)) from exc
     for name, poly in (("base_poly", t.base_poly), ("ext_poly", t.ext_poly)):
         if name in fields:
-            declared = tuple(int(c) for c in fields[name].split(","))
+            try:
+                declared = tuple(int(c) for c in fields[name].split(","))
+            except ValueError as exc:
+                raise FormatError(f"bad {name} in tower line {line!r}") from exc
             if poly is None or declared != poly:
                 raise FormatError(f"{name} in file does not match the deterministic choice")
         elif poly is not None:

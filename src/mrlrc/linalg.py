@@ -338,18 +338,7 @@ def mat_vec(M: FieldMatrix, v) -> list[int]:
 
 def _unrank_combination(m: int, k: int, idx: int) -> tuple[int, ...]:
     """idx-th k-subset of range(m) in lexicographic order."""
-    out = []
-    x = 0
-    for slot in range(k, 0, -1):
-        while True:
-            c = comb(m - x - 1, slot - 1)
-            if idx < c:
-                out.append(x)
-                x += 1
-                break
-            idx -= c
-            x += 1
-    return tuple(out)
+    return next(_strided_combinations(range(m), k, 1, idx))
 
 
 @lru_cache(maxsize=16)
@@ -362,10 +351,10 @@ def _strided_combinations(pool, k: int, step: int = 1, first: int = 0):
     """The k-subsets of `pool` (as tuples of its items) at indices first,
     first + step, first + 2*step, ... of the lexicographic order.
 
-    At step > 1 each subset is read off its index from the end, written
-    in the combinatorial number system: the largest c with C(c, s) at
-    most what is left, for s = k down to 1, found by bisecting a table
-    of C(., s) (_comb_tables).
+    Except for the plain walk (step 1 from index 0), each subset is read
+    off its index from the end, written in the combinatorial number
+    system: the largest c with C(c, s) at most what is left, for s = k
+    down to 1, found by bisecting a table of C(., s) (_comb_tables).
     """
     pool = tuple(pool)
     m = len(pool)

@@ -11,8 +11,9 @@ strided walk (enumerate_patterns).  With the local block MDS, each
 group's delta positions carry its local pivots, so a pattern costs one
 h x h rank check of its h extras reduced against them (verify_mr); the
 structured verifier reaches the same verdict with one h x h rank check
-per erased support.  Every rank, determinant and subset check goes
-through the shared kernel in linalg.
+per erased support, on the same reduced columns (_reduced_columns).
+Every rank, determinant and subset check goes through the shared kernel
+in linalg.
 
 The erasure codec decodes an erased set densely the first time it sees
 it and from a cached decode plan when the set comes back, with the
@@ -38,7 +39,6 @@ from .linalg import (
     first_dependent_subset,
     is_mds_parity_check,
     kernel,
-    matmul,
     solve,
     vec_mat,
     _echelonize,
@@ -446,43 +446,23 @@ def _compositions(total: int, parts: int, cap: int):
             yield (first,) + rest
 
 
-def _projections(P: MrParityCheck, e: int) -> list[list[list[list[int]]]]:
-    """Per group, per erased set E of size delta+e (lexicographic): the e
-    columns of D_i|_E K_E^T, each a length-h row, where the rows of K_E
-    span ker(A|_E).  K_E is over F_q, which the top field holds as
-    constants, so it also spans the kernel over the top field."""
-    spec = P.spec
-    A, t = P.A, spec.tower
-    kernels = []
-    for E in combinations(range(spec.r), spec.delta + e):
-        K = kernel(FieldMatrix.from_rows(
-            t, A.level, [[A.at(s, j) for j in E] for s in range(spec.delta)]
-        ))
-        if K.rows != e:
-            raise AssertionError("MDS local block has a kernel of the wrong size")
-        kernels.append((E, FieldMatrix(t, "top", e, len(E), K.data)))
-    return [
-        [matmul(K, FieldMatrix.from_rows(t, "top", [Dcols[j] for j in E])).to_rows()
-         for E, K in kernels]
-        for Dcols in (Di.transpose().to_rows() for Di in P.D)
-    ]
-
-
 def verify_mr_structured(P: MrParityCheck,
                          budget: int | None = None) -> VerifyReport:
     """Exhaustive verify_mr through the per-support reduction of
     Gopalan-Huang-Jenkins-Yekhanin (IEEE T-IT 2014).
 
     With A MDS, a group erased only on delta positions is recovered by
-    A alone, and a group erased on a set E of delta + e positions
-    leaves the e unknowns K_E^T c, so it adds the e columns
-    D_i|_E K_E^T to the global rows.  A maximal pattern is recoverable
-    iff the h columns of its groups have rank h, so one h x h rank
-    check per support (at most h groups, a composition of h into parts
-    of at most r - delta, one erased set per group) covers every
-    pattern.  Gates, budget and the success report are those of
-    verify_mr, plus `checks`; when a check fails the dense walk locates
-    the first counterexample and its report is returned.
+    A alone, and a group erased on a set E of delta + e positions adds
+    e columns to the global rows: with S = E[:delta], the reduced
+    columns w(S, c) of verify_mr for the c in E[delta:] (A|_S is
+    invertible, so eliminating the local pivots on S leaves exactly
+    these).  A maximal pattern is recoverable iff the h columns of its
+    groups have rank h, so one h x h rank check per support (at most h
+    groups, a composition of h into parts of at most r - delta, one
+    erased set per group) covers every pattern.  Gates, budget and the
+    success report are those of verify_mr, plus `checks`; when a check
+    fails the dense walk locates the first counterexample and its
+    report is returned.
     """
     t0 = perf_counter()
     spec = P.spec
@@ -491,15 +471,26 @@ def verify_mr_structured(P: MrParityCheck,
         P.A, spec.delta
     ):
         return verify_mr(P, budget)  # same gate report, or BudgetError
-    n, h = spec.n, spec.h
+    n, r, h, delta = spec.n, spec.r, spec.h, spec.delta
     F = spec.tower.field("top")
-    max_e = min(h, spec.r - spec.delta)
-    proj = {e: _projections(P, e) for e in range(1, max_e + 1)}
+    max_e = min(h, r - delta)
+    # per (e, group), per erased set E of delta + e positions in
+    # lexicographic order: the columns w(E[:delta], c) for c in E[delta:]
+    tables = {}
+    sets = {}
+    for e in range(1, max_e + 1):
+        for i in range(n):
+            sets[e, i] = []
+            for E in combinations(range(i * r, (i + 1) * r), delta + e):
+                S = E[:delta]
+                if S not in tables:
+                    tables[S] = _reduced_columns(P, i, S)
+                sets[e, i].append([tables[S][c] for c in E[delta:]])
     checks = 0
     for size in range(1, min(h, n) + 1):
         for parts in _compositions(h, size, max_e):
             for groups in combinations(range(n), size):
-                choices = [proj[e][i] for i, e in zip(groups, parts)]
+                choices = [sets[e, i] for i, e in zip(groups, parts)]
                 for cols in product(*choices):
                     checks += 1
                     if _rank_rows(F, [c for cs in cols for c in cs]) == h:

@@ -21,8 +21,6 @@ from .linalg import (
     first_dependent_subset,
     kernel,
     rref,
-    _echelonize,
-    _reduce_against,
 )
 
 
@@ -346,21 +344,22 @@ def _subfield_inside(t: FieldTower, u: int):
 
 
 def _ell_basis(t: FieldTower, ell_basis_fq: list[int], r: int) -> list[int]:
-    """Greedy F_{q^u}-basis of the top field, in ascending code order."""
+    """Greedy F_{q^u}-basis of the top field, in ascending code order:
+    each element is the first code outside the F_{q^u}-span of those
+    chosen before it (the F_q-span of g * code over the F_q-basis g of
+    F_{q^u}), found by gv_greedy's scan (_first_outside)."""
     F = t.field("top")
-    Fq = t.field("mid")
-    echelon: list = []
     chosen: list[int] = []
-    for code in range(1, F.size):
-        if not any(_reduce_against(Fq, echelon, t.top_to_vec(code))):
-            continue
+    rows: list[list[int]] = []
+    code = 0
+    for _ in range(r):
+        code = _first_outside(t.p, t.a * t.m, [_span_checks(t, rows)], code + 1)
+        if code is None:
+            raise AssertionError("top field too small for the requested basis")
         chosen.append(code)
-        work = [row for _, row in echelon]
-        work += [t.top_to_vec(F.mul(g, code)) for g in ell_basis_fq]
-        echelon = list(zip(_echelonize(Fq, work), work))
-        if len(chosen) == r:
-            return chosen
-    raise AssertionError("top field too small for the requested basis")
+        for g in ell_basis_fq:
+            rows += _fp_rows(t, t.top_to_vec(F.mul(g, code)))
+    return chosen
 
 
 def subfield_construct(t: FieldTower, u: int, r: int, h: int,

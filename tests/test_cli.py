@@ -325,6 +325,26 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suffix, old, new", [
+    (".mr", "\n1 1\n", "\n1 x\n"),
+    (".mr.sdss", "\n1 0 0 0\n", "\n1 0 y 0\n"),
+    (".mr", "ext_poly=1,1,", "ext_poly=z,1,"),
+], ids=["matrix-row", "sdss-basis-vector", "tower-polynomial"])
+def test_non_integer_entry_exit_2(tmp_path, capsys, suffix, old, new):
+    out = tmp_path / "c.mr"
+    run(capsys, "construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1",
+        "--n", "4", "--out", str(out))
+    good = Path(str(out)[: -len(".mr")] + suffix)
+    text = good.read_text()
+    assert old in text
+    bad = tmp_path / ("bad" + suffix)
+    bad.write_text(text.replace(old, new, 1))
+    code, stdout, err = run(capsys, "verify", "--in", str(bad))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and "internal" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "--in", str(tmp_path / "nope.mr"))
     assert code == 2

@@ -21,6 +21,8 @@ from mrlrc.sdss import (
     subfield_construct,
     to_block_code,
     verify_direct_sum,
+    _ell_basis,
+    _subfield_inside,
 )
 
 
@@ -268,6 +270,25 @@ def test_subfield_construct_n17():
 def test_subfield_construct_respects_hamming_bound():
     S = subfield_construct(make_tower(2), 2, 2, 2)
     assert S.m >= bounds(2, 17, 2, 2).hamming_lower
+
+
+@pytest.mark.parametrize("p, a, u, r, expected", [
+    (2, 1, 2, 1, [1]),
+    (2, 1, 2, 2, [1, 2]),
+    (2, 1, 2, 3, [1, 2, 4]),
+    (2, 1, 3, 2, [1, 2]),
+    (3, 1, 2, 1, [1]),
+    (3, 1, 2, 2, [1, 3]),
+    (2, 2, 2, 2, [1, 4]),
+    (2, 1, 4, 2, [1, 2]),
+    (5, 1, 2, 2, [1, 5]),
+    (3, 1, 3, 2, [1, 3]),
+], ids=str)
+def test_ell_basis_pinned(p, a, u, r, expected):
+    # recorded from the echelon-and-reduce scan _ell_basis ran before it
+    # used _first_outside
+    big = make_tower(p, a, u * r)
+    assert _ell_basis(big, _subfield_inside(big, u), r) == expected
 
 
 # -- block-code equivalence ---------------------------------------------------------
