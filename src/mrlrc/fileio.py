@@ -156,6 +156,8 @@ def parse_sdss(text: str) -> SubspaceSystem:
     h = _int(fields, "h")
     m = _int(fields, "m")
     certified = _int(fields, "certified")
+    if certified not in (0, 1):
+        raise FormatError(f"field certified must be 0 or 1, not {certified}")
     if m != tower.m:
         raise FormatError("header m disagrees with the tower")
     basis = []

@@ -7,13 +7,15 @@ h x r Moore blocks D_i whose first rows span the subspaces of a
 certified direct sum system.  Verification re-proves maximal
 recoverability by enumerating every erasure pattern (delta positions
 per group plus h more anywhere); exhaustive and sampled checks are one
-strided walk (enumerate_patterns).  With the local block MDS, each
-group's delta positions carry its local pivots, so a pattern costs one
-h x h rank check of its h extras reduced against them (verify_mr); the
-structured verifier reaches the same verdict with one h x h rank check
-per erased support, on the same reduced columns (_reduced_columns).
-Every rank, determinant and subset check goes through the shared kernel
-in linalg.
+strided walk (_blocks).  With the local block MDS, each group's delta
+positions carry its local pivots, so a pattern costs one check that its
+h extras, reduced against them, are independent (verify_mr); the
+structured verifier reaches the same verdict with one such check per
+erased support, on the same reduced columns (_reduced_columns).  For
+h <= 2 a check compares the columns' projective keys, derived once per
+table; for h >= 3 it is one h x h rank computation.  Every rank
+computation, determinant and subset check goes through the shared
+kernel in linalg.
 
 The erasure codec decodes an erased set densely the first time it sees
 it and from a cached decode plan when the set comes back, with the
@@ -26,6 +28,7 @@ from __future__ import annotations
 # start-up time and memory of every mrlrc command
 from _thread import allocate_lock
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from time import perf_counter
@@ -289,18 +292,42 @@ def pattern_count(spec: MrCodeSpec) -> int:
     )
 
 
+@lru_cache(maxsize=16)
+def _subsets(r: int, delta: int) -> tuple[tuple[int, ...], ...]:
+    """The delta-subsets of range(r) in lexicographic order."""
+    return tuple(combinations(range(r), delta))
+
+
 def _block(spec: MrCodeSpec, block: int):
     """Per-group delta-subsets of the block-th block (a block holds the
     patterns that share them; first group slowest) and the positions
     left for the extras."""
-    n, r, delta = spec.n, spec.r, spec.delta
-    per_group_combos = comb(r, delta)
+    n, r = spec.n, spec.r
+    subsets = _subsets(r, spec.delta)
+    count = len(subsets)
     pg = [()] * n
     for i in reversed(range(n)):
-        block, rk = divmod(block, per_group_combos)
-        pg[i] = tuple(i * r + j for j in _unrank_combination(r, delta, rk))
+        block, rk = divmod(block, count)
+        pg[i] = tuple(i * r + j for j in subsets[rk])
     taken = {c for g in pg for c in g}
     return tuple(pg), [c for c in range(spec.N) if c not in taken]
+
+
+def _blocks(spec: MrCodeSpec, step: int):
+    """The blocks holding a pattern at index 0, step, 2*step, ...: per
+    block its per-group subsets and an iterator over the extras of its
+    sampled patterns, read off their indices by one strided combination
+    walk (linalg._strided_combinations)."""
+    if step < 1:
+        raise ParameterError("pattern step must be positive")
+    extras_total = comb(spec.N - spec.n * spec.delta, spec.h)
+    total = pattern_count(spec)
+    index = 0
+    while index < total:
+        block, first = divmod(index, extras_total)
+        pg, rest = _block(spec, block)
+        yield pg, _strided_combinations(rest, spec.h, step, first)
+        index += step * len(range(first, extras_total, step))
 
 
 def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
@@ -309,20 +336,10 @@ def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
     (last group fastest), then the h extras over the remaining
     positions.  Step 1 is every pattern.  Each block of patterns sharing
     their per-group subsets is decoded once, and blocks holding no
-    sampled index are skipped; within a block the extras come from one
-    strided combination walk (linalg._strided_combinations)."""
-    if step < 1:
-        raise ParameterError("pattern step must be positive")
-    h = spec.h
-    extras_total = comb(spec.N - spec.n * spec.delta, h)
-    total = pattern_count(spec)
-    index = 0
-    while index < total:
-        block, first = divmod(index, extras_total)
-        pg, rest = _block(spec, block)
-        for extra in _strided_combinations(rest, h, step, first):
+    sampled index are skipped (_blocks, which verify_mr walks itself)."""
+    for pg, extras in _blocks(spec, step):
+        for extra in extras:
             yield ErasurePattern(per_group=pg, extra=extra)
-        index += step * len(range(first, extras_total, step))
 
 
 def pattern_at(spec: MrCodeSpec, index: int) -> ErasurePattern:
@@ -348,7 +365,7 @@ class VerifyReport:
     sampled: int | None  # None means exhaustive
     elapsed: float
     reason: str = ""
-    # rank checks done in all; None when there was one per pattern checked
+    # checks done in all; None when there was one per pattern checked
     checks: int | None = None
 
 
@@ -382,6 +399,36 @@ def _reduced_columns(P: MrParityCheck, g: int, S: tuple[int, ...]) -> dict:
     return out
 
 
+def _projective_key(F, w: list[int]):
+    """The point w spans for h <= 2 global rows, or None when w = 0:
+    for h = 1 every nonzero w is the one point 0; for h = 2 it is
+    w[1] / w[0] when w[0] != 0, else F.size (the point at infinity)."""
+    if not any(w):
+        return None
+    if len(w) == 1:
+        return 0
+    if w[0]:
+        return F.mul(w[1], F.inv(w[0]))
+    return F.size
+
+
+def _keys_independent(keys) -> bool:
+    """h <= 2 columns, given by their keys, are independent iff every
+    key is defined and the keys are pairwise distinct."""
+    return None not in keys and len(set(keys)) == len(keys)
+
+
+def _column_check(F, h: int):
+    """(table map, check) for checking h reduced columns at a time:
+    for h <= 2 each table holds the columns' projective keys and a
+    check compares them; for h >= 3 it holds the columns themselves and
+    a check is one rank computation."""
+    if h <= 2:
+        return ((lambda cols: {c: _projective_key(F, w) for c, w in cols.items()}),
+                _keys_independent)
+    return (lambda cols: cols), (lambda cols: _rank_rows(F, cols) == h)
+
+
 def verify_mr(P: MrParityCheck, budget: int | None = None,
               sample: int | None = None) -> VerifyReport:
     """Check the two parity-check conditions by enumeration.
@@ -395,7 +442,9 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     With A MDS, the delta columns S_g a pattern erases in group g carry
     the group's local pivots, so (b) holds iff the h extras, reduced
     against them (_reduced_columns, one table per group and subset),
-    have rank h: one h x h rank check per pattern.
+    have rank h.  That is one check per pattern: for h <= 2 a
+    comparison of the extras' projective keys, derived once per table;
+    for h >= 3 one h x h rank computation.
     """
     t0 = perf_counter()
     spec = P.spec
@@ -410,24 +459,24 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     if sample is not None and sample < 1:
         raise ParameterError("sample size must be positive")
     step = 1 if sample is None else max(1, total // sample)
-    F = spec.tower.field("top")
-    h = spec.h
+    to_table, check = _column_check(spec.tower.field("top"), spec.h)
+    r = spec.r
     tables = {}
-    pg = reduced = None
     checked = 0
     failure = None
-    for pat in enumerate_patterns(spec, step):
-        checked += 1
-        # the patterns of one block share one per_group tuple
-        if pat.per_group is not pg:
-            pg = pat.per_group
-            reduced = {}
-            for g, S in enumerate(pg):
-                if S not in tables:
-                    tables[S] = _reduced_columns(P, g, S)
-                reduced.update(tables[S])
-        if _rank_rows(F, [reduced[c] for c in pat.extra]) != h:
-            failure = pat
+    for pg, extras in _blocks(spec, step):
+        # each extra is looked up in the table of its own group
+        by_group = []
+        for g, S in enumerate(pg):
+            if S not in tables:
+                tables[S] = to_table(_reduced_columns(P, g, S))
+            by_group.append(tables[S])
+        for extra in extras:
+            checked += 1
+            if not check([by_group[c // r][c] for c in extra]):
+                failure = ErasurePattern(per_group=pg, extra=extra)
+                break
+        if failure is not None:
             break
     return VerifyReport(failure is None, checked, failure,
                         None if sample is None else checked,
@@ -457,9 +506,11 @@ def verify_mr_structured(P: MrParityCheck,
     columns w(S, c) of verify_mr for the c in E[delta:] (A|_S is
     invertible, so eliminating the local pivots on S leaves exactly
     these).  A maximal pattern is recoverable iff the h columns of its
-    groups have rank h, so one h x h rank check per support (at most h
-    groups, a composition of h into parts of at most r - delta, one
-    erased set per group) covers every pattern.  Gates, budget and the
+    groups have rank h, so one check per support (at most h groups, a
+    composition of h into parts of at most r - delta, one erased set
+    per group) covers every pattern; as in verify_mr, a check compares
+    projective keys for h <= 2 and is one h x h rank computation for
+    h >= 3, and `checks` counts one per support.  Gates, budget and the
     success report are those of verify_mr, plus `checks`; when a check
     fails the dense walk locates the first counterexample and its
     report is returned.
@@ -472,10 +523,11 @@ def verify_mr_structured(P: MrParityCheck,
     ):
         return verify_mr(P, budget)  # same gate report, or BudgetError
     n, r, h, delta = spec.n, spec.r, spec.h, spec.delta
-    F = spec.tower.field("top")
+    to_table, check = _column_check(spec.tower.field("top"), h)
     max_e = min(h, r - delta)
     # per (e, group), per erased set E of delta + e positions in
-    # lexicographic order: the columns w(E[:delta], c) for c in E[delta:]
+    # lexicographic order: the columns w(E[:delta], c) for c in E[delta:],
+    # or their keys
     tables = {}
     sets = {}
     for e in range(1, max_e + 1):
@@ -484,7 +536,7 @@ def verify_mr_structured(P: MrParityCheck,
             for E in combinations(range(i * r, (i + 1) * r), delta + e):
                 S = E[:delta]
                 if S not in tables:
-                    tables[S] = _reduced_columns(P, i, S)
+                    tables[S] = to_table(_reduced_columns(P, i, S))
                 sets[e, i].append([tables[S][c] for c in E[delta:]])
     checks = 0
     for size in range(1, min(h, n) + 1):
@@ -493,7 +545,7 @@ def verify_mr_structured(P: MrParityCheck,
                 choices = [sets[e, i] for i, e in zip(groups, parts)]
                 for cols in product(*choices):
                     checks += 1
-                    if _rank_rows(F, [c for cs in cols for c in cs]) == h:
+                    if check([c for cs in cols for c in cs]):
                         continue
                     report = verify_mr(P, budget)
                     if report.ok:

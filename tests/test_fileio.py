@@ -89,3 +89,21 @@ def test_mr_parse_rejects_truncation_and_extras():
         fileio.parse_mr("\n".join(lines[:-2]))
     with pytest.raises(FormatError):
         fileio.parse_mr(text + text.split("\n", 3)[3])
+
+
+@pytest.mark.parametrize("flag", ["7", "-1", "2"])
+def test_sdss_certified_flag_other_than_0_or_1(tmp_path, capsys, flag):
+    from mrlrc.cli import main
+
+    text = fileio.format_sdss(mds_construct(make_tower(2, 1, 4), 5, 2, 2))
+    assert "certified=1\n" in text
+    bad_text = text.replace("certified=1\n", f"certified={flag}\n", 1)
+    with pytest.raises(FormatError):
+        fileio.parse_sdss(bad_text)
+    bad = tmp_path / "bad.sdss"
+    bad.write_text(bad_text)
+    code = main(["verify", "--in", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "internal" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
