@@ -276,6 +276,10 @@ def cmd_bounds(args) -> int:
                 "achieved system has q={} n={} r={} h={}, not q={} n={} r={} h={}"
                 .format(*got, *want)
             )
+        # the file's certified= flag is not evidence: check the system
+        if not sdss.verify_direct_sum(S, budget=args.budget):
+            print("FAIL achieved system is not a direct sum")
+            return EXIT_NEGATIVE
         line += f" achieved_m={S.m}"
     print(line)
     return EXIT_OK

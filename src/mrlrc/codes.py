@@ -2,9 +2,12 @@
 subcodes, and block codes over F_q^{nr} under the block Hamming metric.
 
 Distance claims are never trusted: every constructor re-checks its
-designed distance by exhaustive codeword enumeration whenever the
-codebook fits the configured budget.  That enumeration is one Gray walk
-for every q, on codewords packed into a single int (`_min_weight`).
+designed distance whenever the codebook fits the configured budget.
+One exact computation (`_distance`) serves Hamming and block distances
+alike, by the cheaper of two exact routes for the code's sizes: the
+least number of dependent parity-column blocks (`_parity_distance`), or
+a walk over all codewords, one Gray walk for every q on codewords
+packed into a single int (`_min_weight`).
 Top-level parity rows become F_q coordinate rows only in
 `subfield_subcode`, and the multiples l*x, l in the F_q-basis of the
 top field, only in `pi_rows`.
@@ -12,6 +15,7 @@ top field, only in `pi_rows`.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from . import config
@@ -76,15 +80,12 @@ class LinearCode:
         return self._parity
 
     def min_distance(self, budget: int | None = None) -> int:
-        """Exact minimum Hamming distance by exhaustive enumeration."""
+        """Exact minimum Hamming distance; length+1 for the
+        zero-dimensional code.  It is `block_min_distance` with blocks
+        of one symbol: the least number of dependent parity columns, or
+        a Gray walk over all codewords, whichever costs less."""
         if self._min_distance is None:
-            if self.dim == 0:
-                self._min_distance = self.length + 1
-            else:
-                _check_codebook(self.field().size, self.dim, budget)
-                self._min_distance = _min_weight(
-                    self.field(), self.generator_matrix().to_rows(), 1
-                )
+            self._min_distance = _distance(self, 1, budget)
         return self._min_distance
 
     def __repr__(self):
@@ -113,6 +114,61 @@ def _check_codebook(q: int, k: int, budget: int | None):
     cap = config.codebook_budget(budget)
     if q**k > cap:
         raise BudgetError(f"codebook {q}^{k} exceeds the budget {cap}")
+
+
+# One subset check of `_parity_distance` in Gray steps of `_min_weight`.
+# Measured in-process (2-core x86_64 Xeon, Python 3.11): 27-28 us per
+# check against 0.8 us per step on the subfield code of the u = 1,
+# r = 3, h = 3 construction (blocks of 3 columns of height 9), 35 steps;
+# 133-137 us against 1.3 us on the pi-expansion of RS[10, 3] over F_16
+# (blocks of 4 columns of height 28), 100 steps.  The larger ratio keeps
+# the parity route to codes where it wins by a margin.
+_CHECK_COST = 100
+
+
+def _distance(code: LinearCode, block: int, budget: int | None) -> int:
+    """Exact minimum block weight of the nonzero codewords, with blocks
+    of `block` symbols; n+1 for the zero-dimensional code.
+
+    The codebook budget applies to both routes, which are both exact:
+    the parity-column route (`_parity_distance`) when its subset checks,
+    up to the block Singleton bound s = n - ceil(k/block) + 1 and each
+    weighted as `_CHECK_COST` Gray steps, cost less than the q^k - 1
+    steps of the Gray walk (`_min_weight`), and the Gray walk otherwise.
+    """
+    n = code.length // block
+    k = code.dim
+    if k == 0:
+        return n + 1
+    F = code.field()
+    _check_codebook(F.size, k, budget)
+    s = n - -(-k // block) + 1
+    steps = F.size**k - 1
+    # partial sums of the subset counts, abandoned at the first too large
+    checks = accumulate(comb(n, t) for t in range(1, s + 1))
+    if all(_CHECK_COST * c < steps for c in checks):
+        return _parity_distance(code.parity_matrix(), block, s)
+    return _min_weight(F, code.generator_matrix().to_rows(), block)
+
+
+def _column_blocks(H: FieldMatrix, block: int) -> list[list[list[int]]]:
+    """The columns of H in consecutive groups of `block`."""
+    return [[H.column(b + j) for j in range(block)]
+            for b in range(0, H.cols, block)]
+
+
+def _parity_distance(H: FieldMatrix, block: int, s: int) -> int:
+    """Least t such that some t column blocks of the parity check H are
+    dependent: a nonzero codeword supported on a set T of blocks exists
+    iff the columns of T are, so this t is the minimum block weight.
+    s is the block Singleton bound, which the distance cannot exceed.
+    """
+    F = H.field()
+    blocks = _column_blocks(H, block)
+    for t in range(1, s + 1):
+        if first_dependent_subset(F, blocks, t)[0] is not None:
+            return t
+    raise AssertionError("no dependent column blocks within the Singleton bound")
 
 
 def _min_weight(F: Field, gen_rows: list[list[int]], block: int) -> int:
@@ -315,14 +371,14 @@ def block_weight(v, r: int) -> int:
 
 
 def block_min_distance(B: BlockCode, budget: int | None = None) -> int:
-    """Minimum block weight over nonzero codewords, by exhaustive
-    message enumeration; n+1 for the zero-dimensional code."""
-    k = B.dim
-    if k == 0:
-        return B.n_blocks + 1
-    F = B.code.field()
-    _check_codebook(F.size, k, budget)
-    return _min_weight(F, B.code.generator_matrix().to_rows(), B.block_size)
+    """Exact minimum block weight over nonzero codewords; n+1 for the
+    zero-dimensional code.
+
+    Both routes of `_distance` are exact, and the sizes alone pick one:
+    the least t for which some t parity-column blocks are dependent, or
+    a Gray walk over all q^k codewords.  The codebook budget (BudgetError)
+    applies to both."""
+    return _distance(B.code, B.block_size, budget)
 
 
 def block_distance_at_least(B: BlockCode, t: int, budget: int | None = None) -> bool:
@@ -340,6 +396,5 @@ def block_distance_at_least(B: BlockCode, t: int, budget: int | None = None) -> 
     total = comb(n, t)
     if total > config.subset_budget(budget):
         raise BudgetError(f"{total} block subsets exceed the budget")
-    H = B.code.parity_matrix()
-    blocks = [[H.column(b * r + j) for j in range(r)] for b in range(n)]
+    blocks = _column_blocks(B.code.parity_matrix(), r)
     return first_dependent_subset(B.code.field(), blocks, t)[0] is None

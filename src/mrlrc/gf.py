@@ -170,7 +170,9 @@ class _ExtOps:
     and `_zech` last, because `mul`, `inv`, `pow` and `tables` test
     `_exp`, and `add`, `sub` and `neg` test `_zech`, before they read
     the others.  `_mul_raw` serves fields above the cap, the generator
-    search and the images of the half-digit codes.
+    search and the images of the half-digit codes.  Above the cap an
+    extension of F_2 inverts by the extended Euclidean algorithm
+    (`_inv_binary`), any other by x^(size-2).
     """
 
     __slots__ = (
@@ -293,6 +295,23 @@ class _ExtOps:
                         prod[k - d + t] = b.sub(prod[k - d + t], b.mul(c, mt))
         return _undigits(prod[:d], self.base_size)
 
+    def _inv_binary(self, x):
+        """x^-1 for a nonzero x over F_2, by the extended Euclidean
+        algorithm on bit-packed polynomials (Hankerson, Menezes and
+        Vanstone, Guide to Elliptic Curve Cryptography, Alg. 2.48):
+        g1*x = u and g2*x = v modulo the modulus throughout."""
+        u, v = x, self._mod_int
+        g1, g2 = 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v = v, u
+                g1, g2 = g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
     def _pow_raw(self, x, e):
         acc = 1
         while e:
@@ -391,6 +410,8 @@ class _ExtOps:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is None and not self._ensure_tables():
+            if self._mod_int is not None:
+                return self._inv_binary(x)
             return self._pow_raw(x, self.size - 2)
         return self._exp[self.size - 1 - self._log[x]]
 

@@ -419,9 +419,10 @@ def to_block_code(S: SubspaceSystem) -> BlockCode:
 def from_block_code(B: BlockCode, h: int, budget: int | None = None) -> SubspaceSystem:
     """System spanned by the column groups of a dual generator matrix.
 
-    The distance precondition d_B >= h+1 is checked by exhaustive
-    enumeration when the codebook fits the budget and otherwise left to
-    the direct-sum certification that follows.
+    The distance precondition d_B >= h+1 is checked exactly by
+    `block_min_distance` (dependent parity-column blocks or a codeword
+    walk, whichever costs less) when the codebook fits the budget, and
+    otherwise left to the direct-sum certification that follows.
     """
     if h < 1:
         raise ParameterError("need h >= 1")

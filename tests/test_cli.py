@@ -10,6 +10,7 @@ import pytest
 import mrlrc
 from mrlrc import fileio, sdss
 from mrlrc.cli import main
+from mrlrc.gf import make_tower
 
 
 def run(capsys, *argv):
@@ -259,6 +260,31 @@ def test_bounds_achieved_rejects_other_parameters(tmp_path, capsys):
         assert err.splitlines() == [
             f"error: achieved system has q=4 n=6 r=2 h=2, not {want}"
         ]
+
+
+def test_bounds_achieved_rechecks_the_system(tmp_path, capsys):
+    # a file that claims certified=1 for two equal subspaces of F_2^2
+    group = [(1, 0), (0, 1)]
+    system = tmp_path / "equal.sdss"
+    system.write_text(fileio.format_sdss(sdss.SubspaceSystem(
+        make_tower(2, 1, 2), 2, 2, 2, [group, group], certified=True)))
+    code, stdout, err = run(capsys, "bounds", "--p", "2", "--n", "2", "--r", "2",
+                            "--h", "2", "--achieved", str(system))
+    assert code == 1
+    assert stdout.splitlines() == ["FAIL achieved system is not a direct sum"]
+    assert err == ""
+    # the check runs under --budget: C(5, 2) = 10 subsets exceed 9
+    out = tmp_path / "c.mr"
+    run(capsys, "construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1",
+        "--n", "5", "--out", str(out))
+    argv = ["bounds", "--p", "2", "--n", "5", "--r", "2", "--h", "2",
+            "--achieved", str(out) + ".sdss", "--budget"]
+    code, stdout, err = run(capsys, *argv, "9")
+    assert (code, stdout) == (3, "")
+    assert err.splitlines() == ["error: 10 subsets exceed the enumeration budget"]
+    code, stdout, _ = run(capsys, *argv, "10")
+    assert code == 0
+    assert stdout.strip().endswith("achieved_m=4")
 
 
 def test_encode_decode_round_trip(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from mrlrc import codes
 from mrlrc.codes import (
     BlockCode,
     LinearCode,
@@ -16,10 +17,12 @@ from mrlrc.codes import (
     rs_parity_check,
     subfield_subcode,
     _min_weight,
+    _parity_distance,
 )
 from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
 from mrlrc.linalg import FieldMatrix, is_mds_parity_check, kernel, mat_vec, rank, rref
+from mrlrc.sdss import subfield_construct
 
 
 def brute_codewords(F, gen_rows):
@@ -311,3 +314,104 @@ def test_linear_code_duality_and_dims():
     # rebuilding from the generator gives the same codeword set
     C2 = LinearCode.from_generator(G)
     assert kernel(C2.parity_matrix()).rows == 3
+
+
+# -- the two exact distance routes -----------------------------------------
+
+# q in {2, 3, 4, 5, 7}; F_4 is the mid level of the (2, 2) tower
+ROUTE_FIELDS = [(make_tower(2), "prime"), (make_tower(3), "prime"),
+                (make_tower(2, 2), "mid"), (make_tower(5), "prime"),
+                (make_tower(7), "prime")]
+
+
+def both_routes(tower, level, rows, r):
+    """(Gray walk, parity-column route) distances of the span of rows."""
+    F = tower.field(level)
+    G = FieldMatrix.from_rows(tower, level, rows)
+    n, k = G.cols // r, rank(G)
+    s = n - -(-k // r) + 1  # block Singleton bound
+    return _min_weight(F, rows, r), _parity_distance(kernel(G), r, s)
+
+
+def test_parity_route_matches_gray_walk_and_brute():
+    rng = random.Random(41)
+    for tower, level in ROUTE_FIELDS:
+        F = tower.field(level)
+        for r in (1, 2, 3):
+            for trial in range(12):
+                n = rng.randrange(2, 5)
+                k = rng.randrange(1, 4)
+                rows = [[rng.randrange(F.size) for _ in range(n * r)] for _ in range(k)]
+                if trial % 4 == 1:  # a block that is zero in every codeword
+                    b = rng.randrange(n)
+                    for row in rows:
+                        row[b * r:(b + 1) * r] = [0] * r
+                if trial % 4 == 2 and k > 1:  # dependent generator rows
+                    c = rng.randrange(1, F.size)
+                    rows[-1] = [F.add(x, F.mul(c, y)) for x, y in zip(rows[0], rows[1])]
+                if not any(map(any, rows)):
+                    continue
+                expected = brute_min_block_weight(F, rows, r)
+                assert both_routes(tower, level, rows, r) == (expected, expected)
+            # the full space: every single block carries a codeword
+            full = FieldMatrix.identity(tower, level, 2 * r).to_rows()
+            assert both_routes(tower, level, full, r) == (1, 1)
+
+
+@pytest.mark.parametrize("p,m,n,k", [(2, 2, 5, 3), (2, 3, 9, 4), (3, 2, 10, 2),
+                                     (2, 2, 4, 1)])
+def test_parity_route_reaches_singleton_on_mds_expansions(p, m, n, k):
+    # pi-expanded RS[n, k] over F_{p^m}: d = n - k + 1, the block Singleton bound
+    t = make_tower(p, 1, m)
+    B = pi_expand(LinearCode.from_parity(rs_parity_check(t, "top", n, n - k)))
+    rows = B.code.generator_matrix().to_rows()
+    assert both_routes(t, "mid", rows, m) == (n - k + 1, n - k + 1)
+
+
+def count_routes(monkeypatch):
+    calls = {"gray": 0, "parity": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(codes, "_min_weight", counted("gray", codes._min_weight))
+    monkeypatch.setattr(codes, "_parity_distance",
+                        counted("parity", codes._parity_distance))
+    return calls
+
+
+def test_route_choice(monkeypatch):
+    calls = count_routes(monkeypatch)
+    # subfield code with u = 1, r = 3, h = 3: 255 subsets against 2^18 codewords
+    S = subfield_construct(make_tower(2), 1, 3, 3)
+    assert S.certified and S.n == 9
+    assert calls == {"gray": 0, "parity": 1}
+    # BCH(15, 7): 2^7 codewords against the C(15, t) of t <= 9
+    calls.update(gray=0, parity=0)
+    assert LinearCode.from_parity(bch_parity_check(4, 2)).min_distance() == 5
+    assert calls == {"gray": 2, "parity": 0}  # once inside bch_parity_check
+    # pi-expanded RS[10, 3] over F_16: 4,096 codewords against 1,012
+    # subsets, which would take 968 checks to reach d = 8
+    calls.update(gray=0, parity=0)
+    t = make_tower(2, 1, 4)
+    B = pi_expand(LinearCode.from_parity(rs_parity_check(t, "top", 10, 7)))
+    assert block_min_distance(B) == 8
+    assert calls == {"gray": 1, "parity": 0}
+    # even-weight [16, 15, 2] over F_2: 136 subsets against 2^15 codewords
+    calls.update(gray=0, parity=0)
+    t = make_tower(2)
+    assert LinearCode.from_parity(FieldMatrix.from_rows(t, "prime", [[1] * 16])
+                                  ).min_distance() == 2
+    assert calls == {"gray": 0, "parity": 1}
+
+
+def test_parity_route_refuses_a_distance_past_singleton():
+    # blocks of a parity check that are independent beyond the Singleton
+    # bound cannot belong to a code of that dimension
+    t = make_tower(2)
+    H = FieldMatrix.identity(t, "prime", 4)
+    with pytest.raises(AssertionError, match="Singleton"):
+        _parity_distance(H, 1, 3)

@@ -397,3 +397,30 @@ def test_tables_are_never_seen_half_published(p, a, m):
     # the states between the first and the last store were visited
     assert (True, False, True) in seen_states  # log set, exp not yet
     assert (False, False, True) in seen_states  # log and exp set, Zech not yet
+
+
+# -- inverses without tables ---------------------------------------------
+
+
+def test_binary_inverse_without_tables_matches_power(monkeypatch):
+    """Every nonzero element of every binary field up to 2^12, with the
+    tables refused so that inv takes the extended Euclidean route."""
+    monkeypatch.setattr(gf.config, "TABLE_CAP", 1)
+    for m in range(2, 13):
+        ops = _fresh_ops(2, 1, m)
+        assert ops._mod_int is not None
+        for x in range(1, ops.size):
+            assert ops.inv(x) == ops._pow_raw(x, ops.size - 2)
+        assert ops._exp is None
+
+
+@pytest.mark.parametrize("m", [21, 24])
+def test_binary_inverse_above_the_table_cap(m):
+    F = make_tower(2, 1, m).field("top")
+    ops = F._ops
+    assert F.size > gf.config.TABLE_CAP and F.tables() is None
+    rng = random.Random(m)
+    for x in [1, 2, F.size - 1] + [rng.randrange(1, F.size) for _ in range(60)]:
+        y = F.inv(x)
+        assert y == ops._pow_raw(x, F.size - 2)
+        assert ops._mul_raw(x, y) == 1
