@@ -158,7 +158,7 @@ def _parse_inner(spec: str, tower, budget: int | None = None):
         H = bch_parity_check(t_exp, x, budget)
         return H.rows, H
     if kind == "rs":
-        H = rs_parity_check(make_tower(tower.p, tower.a), "mid", r, x)
+        H = rs_parity_check(make_tower(tower.p, tower.a), "mid", r, x, budget)
         return x, H
     raise ParameterError(f"unknown inner code kind {kind!r}")
 

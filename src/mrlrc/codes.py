@@ -249,12 +249,14 @@ def _min_weight(F: Field, gen_rows: list[list[int]], block: int) -> int:
     return best
 
 
-def rs_parity_check(t: FieldTower, level: str, r: int, delta: int) -> FieldMatrix:
+def rs_parity_check(t: FieldTower, level: str, r: int, delta: int,
+                    budget: int | None = None) -> FieldMatrix:
     """delta x r parity check of an [r, r-delta, delta+1] MDS code.
 
     Vandermonde rows over the first r field elements in enumeration
     order; for r = field size + 1 the construction is extended by the
-    extra column (0, ..., 0, 1)^T.
+    extra column (0, ..., 0, 1)^T.  The MDS property is re-checked over
+    all C(r, delta) column subsets whenever they fit the subset budget.
     """
     F = t.field(level)
     s = F.size
@@ -272,7 +274,7 @@ def rs_parity_check(t: FieldTower, level: str, r: int, delta: int) -> FieldMatri
     A = FieldMatrix.from_rows(t, level, rows)
     from .linalg import is_mds_parity_check
 
-    if not is_mds_parity_check(A, delta):
+    if comb(r, delta) <= config.subset_budget(budget) and not is_mds_parity_check(A, delta):
         raise AssertionError("MDS parity check failed its own subset test")
     return A
 

@@ -11,11 +11,15 @@ monic polynomials), so two towers built from the same (p, a, m) are
 identical and every code is reproducible across runs.
 
 Levels are addressed by name: ``"prime"`` (F_p), ``"mid"`` (F_q),
-``"top"`` (F_{q^m}).  Towers and their element codes are immutable;
-all operations are pure functions, safe to share across threads.
-Fields up to config.TABLE_CAP elements build log/exp tables on first
-use and then multiply on them; odd-characteristic fields then also add,
-subtract and negate on a table of Zech logarithms.
+``"top"`` (F_{q^m}).  Every level is one `Field`, an extension
+base[x]/(modulus) of its digit field; F_p is the degree-1 case
+F_p[x]/(x), whose codes are 0..p-1.  Levels that are the same field
+(mid when a = 1, top when m = 1) are the same object.  Towers and their
+element codes are immutable; all operations are pure functions, safe to
+share across threads.  Fields up to config.TABLE_CAP elements, F_p
+included, build log/exp tables on first use and then multiply on them;
+odd-characteristic fields then also add, subtract and negate on a table
+of Zech logarithms.
 
 The tables come from one walk over the powers of a generator g.
 Multiplying by g is F_p-linear on the base-p digits of a code, so a
@@ -35,8 +39,6 @@ from itertools import islice
 
 from . import config
 from .errors import FormatError, ParameterError
-
-LEVELS = ("prime", "mid", "top")
 
 
 def _is_prime(n: int) -> bool:
@@ -68,7 +70,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class _PrimeOps:
-    """Arithmetic mod a prime, elements 0..p-1."""
+    """Raw arithmetic mod a prime p on 0..p-1: the digit field of F_p,
+    of F_q and, when q = p, of F_{q^m}, and the coefficients of the
+    irreducibility search."""
 
     __slots__ = ("size", "char")
 
@@ -82,24 +86,8 @@ class _PrimeOps:
     def sub(self, x, y):
         return (x - y) % self.size
 
-    def neg(self, x):
-        return (-x) % self.size
-
     def mul(self, x, y):
         return (x * y) % self.size
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(x, self.size - 2, self.size)
-
-    def pow(self, x, e):
-        if e < 0:
-            raise ParameterError("negative exponent")
-        return pow(x, e, self.size)
-
-    def tables(self):
-        return None
 
 
 def _digits(code: int, base: int, length: int) -> list[int]:
@@ -152,17 +140,19 @@ def _lane_layout(p: int, size: int, count: int) -> tuple[int, int, int, int]:
     return n, w, ((1 << (w - 1)) - p) * ones, ones << (w - 1)
 
 
-class _ExtOps:
-    """Arithmetic in an extension of a base field by a monic irreducible.
+class Field:
+    """One tower level: base[x]/(modulus) for a monic irreducible modulus
+    over the digit field `base`; F_p is Field(_PrimeOps(p), (0, 1)).
 
     Elements are ints: base-`base.size` little-endian digit strings of
     the coefficient vector.  Multiplication and inversion go through
-    log/exp tables once the field is small enough (config.TABLE_CAP);
-    otherwise they fall back to direct polynomial arithmetic.  Addition
-    is XOR in characteristic 2.  In odd characteristic it runs digit by
-    digit until the tables exist, and then on one period of Zech
-    logarithms built with them (Lidl-Niederreiter, Finite Fields, ch. 9),
-    as do subtraction and negation.
+    log/exp tables once the field is small enough (config.TABLE_CAP),
+    F_p included; otherwise they fall back to direct polynomial
+    arithmetic.  Addition is XOR in characteristic 2.  In odd
+    characteristic it runs digit by digit until the tables exist, and
+    then on one period of Zech logarithms built with them
+    (Lidl-Niederreiter, Finite Fields, ch. 9), as do subtraction and
+    negation.  The six operations are plain methods of this class.
 
     `_ensure_tables` walks x -> x*g on lane-packed digit vectors (see
     the module docstring) and raises AssertionError if g's order is
@@ -321,11 +311,17 @@ class _ExtOps:
             e >>= 1
         return acc
 
-    def _find_generator(self):
+    def _has_full_order(self, x, factors):
+        """True iff x^((size-1)/f) != 1 for every prime f in `factors`,
+        the prime factors of size - 1: x generates the multiplicative
+        group.  Products are `_mul_raw`, so no tables are needed."""
         n1 = self.size - 1
-        factors = _prime_factors(n1)
+        return all(self._pow_raw(x, n1 // f) != 1 for f in factors)
+
+    def _find_generator(self):
+        factors = _prime_factors(self.size - 1)
         for c in range(1, self.size):
-            if all(self._pow_raw(c, n1 // f) != 1 for f in factors):
+            if self._has_full_order(c, factors):
                 return c
         raise AssertionError("no multiplicative generator found")
 
@@ -425,43 +421,10 @@ class _ExtOps:
         return self._exp[(self._log[x] * e) % (self.size - 1)]
 
     def tables(self):
+        """(exp, log) lists for hot loops, or None above config.TABLE_CAP."""
         if self._ensure_tables():
             return self._exp, self._log
         return None
-
-
-class Field:
-    """Arithmetic view of one tower level; elements are int codes."""
-
-    __slots__ = ("tower", "level", "size", "char", "_ops")
-
-    zero = 0
-    one = 1
-
-    def __init__(self, tower, level, ops):
-        self.tower = tower
-        self.level = level
-        self.size = ops.size
-        self.char = ops.char
-        self._ops = ops
-
-    def add(self, x, y):
-        return self._ops.add(x, y)
-
-    def sub(self, x, y):
-        return self._ops.sub(x, y)
-
-    def neg(self, x):
-        return self._ops.neg(x)
-
-    def mul(self, x, y):
-        return self._ops.mul(x, y)
-
-    def inv(self, x):
-        return self._ops.inv(x)
-
-    def pow(self, x, e):
-        return self._ops.pow(x, e)
 
     def elements(self) -> range:
         """All elements in ascending code order."""
@@ -469,17 +432,10 @@ class Field:
 
     def is_generator(self, x) -> bool:
         """True iff x generates the multiplicative group."""
-        if x == 0:
-            return False
-        n1 = self.size - 1
-        return all(self.pow(x, n1 // f) != 1 for f in _prime_factors(n1))
-
-    def tables(self):
-        """(exp, log) lists for hot loops, or None for large fields."""
-        return self._ops.tables()
+        return x != 0 and self._has_full_order(x, _prime_factors(self.size - 1))
 
     def __repr__(self):
-        return f"Field({self.level}, size={self.size})"
+        return f"Field(size={self.size}, modulus={self.modulus})"
 
 
 # -- polynomial helpers for the irreducibility search -----------------
@@ -545,12 +501,25 @@ def _min_irreducible(ops, degree: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")
 
 
+def _exceeds_cap(base: int, e: int) -> bool:
+    """base^e > config.SIZE_CAP for base >= 2 and e >= 1, decided without
+    a power past the cap: 2^e alone passes it once e reaches its bit length."""
+    return e >= config.SIZE_CAP.bit_length() or base**e > config.SIZE_CAP
+
+
 def base_size(p: int, a: int) -> int:
-    """q = p^a, once p is checked to be prime and a to be at least 1."""
+    """q = p^a, once p is checked to be prime and a to be at least 1.
+
+    A p or a q above config.SIZE_CAP is refused first, so a huge p is
+    never tested for primality and a huge power never computed."""
+    if p > config.SIZE_CAP:
+        raise ParameterError(f"p={p} exceeds cap {config.SIZE_CAP}")
     if not _is_prime(p):
         raise ParameterError(f"p={p} is not prime")
     if a < 1:
         raise ParameterError("extension degrees must be >= 1")
+    if _exceeds_cap(p, a):
+        raise ParameterError(f"field size q = p^a = {p}^{a} exceeds cap {config.SIZE_CAP}")
     return p**a
 
 
@@ -558,16 +527,18 @@ class FieldTower:
     """The nested fields F_p <= F_q <= F_{q^m} with fixed polynomials.
 
     Use :func:`make_tower` rather than constructing directly; it caches
-    and guarantees the deterministic minimal-polynomial choice.
+    and guarantees the deterministic minimal-polynomial choice.  Each
+    level is built once, and a field is one object however many levels
+    it is.
     """
 
-    __slots__ = ("p", "a", "m", "q", "base_poly", "ext_poly", "_ops", "_fields")
+    __slots__ = ("p", "a", "m", "q", "base_poly", "ext_poly", "_levels")
 
     def __init__(self, p: int, a: int, m: int):
         q = base_size(p, a)
         if m < 1:
             raise ParameterError("extension degrees must be >= 1")
-        if q**m > config.SIZE_CAP:
+        if _exceeds_cap(q, m):
             raise ParameterError(
                 f"tower size p^(a*m) = {p}^{a * m} exceeds cap {config.SIZE_CAP}"
             )
@@ -575,30 +546,27 @@ class FieldTower:
         self.a = a
         self.m = m
         self.q = q
-        prime_ops = _PrimeOps(p)
+        digits = _PrimeOps(p)
+        prime = Field(digits, (0, 1))
         if a == 1:
             self.base_poly = None
-            mid_ops = prime_ops
+            mid = prime
         else:
-            self.base_poly = _min_irreducible(prime_ops, a)
-            mid_ops = _ExtOps(prime_ops, self.base_poly)
+            self.base_poly = _min_irreducible(digits, a)
+            mid = digits = Field(digits, self.base_poly)
         if m == 1:
             self.ext_poly = None
-            top_ops = mid_ops
+            top = mid
         else:
-            self.ext_poly = _min_irreducible(mid_ops, m)
-            top_ops = _ExtOps(mid_ops, self.ext_poly)
-        self._ops = {"prime": prime_ops, "mid": mid_ops, "top": top_ops}
-        self._fields = {}
+            self.ext_poly = _min_irreducible(digits, m)
+            top = Field(digits, self.ext_poly)
+        self._levels = {"prime": prime, "mid": mid, "top": top}
 
     # -- level views ---------------------------------------------------
     def field(self, level: str) -> Field:
-        if level not in LEVELS:
-            raise ParameterError(f"unknown level {level!r}")
-        f = self._fields.get(level)
+        f = self._levels.get(level)
         if f is None:
-            f = Field(self, level, self._ops[level])
-            self._fields[level] = f
+            raise ParameterError(f"unknown level {level!r}")
         return f
 
     def level_size(self, level: str) -> int:

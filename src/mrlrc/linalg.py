@@ -109,8 +109,8 @@ def _echelonize(F: Field, work: list[list[int]], reduced: bool = True) -> list[i
     `reduced` the result is the reduced row-echelon form.  Without it
     only the rows below each pivot are cleared and pivot rows keep their
     values, so a square matrix ends upper triangular with the pivots on
-    its diagonal.  Binary extension fields with log/exp tables run on
-    table lookups and XOR instead of Field calls.
+    its diagonal.  Binary fields with log/exp tables, F_2 included, run
+    on table lookups and XOR instead of Field calls.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0

@@ -320,7 +320,7 @@ def mds_construct(t: FieldTower, n: int, r: int, h: int,
     if t.m != h * r:
         raise ParameterError(f"ambient tower must have extension degree h*r={h * r}")
     helper = make_tower(t.p, t.a, r)
-    H = rs_parity_check(helper, "top", n, h)
+    H = rs_parity_check(helper, "top", n, h, budget)
     basis = [[tuple(v) for v in pi_rows(helper, H.column(i))] for i in range(n)]
     return _certify(SubspaceSystem(t, n, r, h, basis), budget)
 
@@ -380,7 +380,7 @@ def subfield_construct(t: FieldTower, u: int, r: int, h: int,
     if not 1 <= h < n:
         raise ParameterError("need 1 <= h < n")
     big = make_tower(t.p, t.a, u * r)
-    H = rs_parity_check(big, "top", n, h)
+    H = rs_parity_check(big, "top", n, h, budget)
     Ftop = big.field("top")
     if u == 1:
         bvecs = big.fq_basis()

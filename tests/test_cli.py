@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -182,6 +183,39 @@ def test_bad_base_field_exits_2(tmp_path, argv, message):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: {message}"]
     assert not any(tmp_path.iterdir())
+
+
+M61 = 2**61 - 1  # prime: trial division up to its square root would not end
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--p", str(M61), "--n", "5", "--r", "3", "--h", "2"],
+     f"p={M61} exceeds cap 16777216"),
+    (["bounds", "--p", "2", "--a", "100000000", "--n", "5", "--r", "3", "--h", "2"],
+     "field size q = p^a = 2^100000000 exceeds cap 16777216"),
+    (["verify", "--in", "huge.mr"], f"p={M61} exceeds cap 16777216"),
+], ids=["bounds-p", "bounds-a", "verify-p"])
+def test_huge_field_parameters_exit_2_at_once(tmp_path, capsys, argv, message):
+    # an .mr file whose tower line names the prime 2^61 - 1
+    run(capsys, "construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1",
+        "--n", "4", "--out", str(tmp_path / "c.mr"))
+    lines = (tmp_path / "c.mr").read_text().splitlines(keepends=True)
+    assert lines[1].startswith("p=2 ")
+    lines[1] = f"p={M61} " + lines[1][len("p=2 "):]
+    (tmp_path / "huge.mr").write_text("".join(lines))
+    # in a child process with a timeout first, so that a hang fails the test
+    src = Path(mrlrc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "mrlrc.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    argv = [str(tmp_path / "huge.mr") if a == "huge.mr" else a for a in argv]
+    t0 = perf_counter()
+    code, stdout, err = run(capsys, *argv)
+    assert perf_counter() - t0 < 1
+    assert (code, stdout, err.splitlines()) == (2, "", [f"error: {message}"])
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -90,6 +91,18 @@ def test_rs_parity_is_mds_across_grid(q_args, r, delta):
     t = make_tower(*q_args)
     level = "mid" if len(q_args) > 1 else "prime"
     assert is_mds_parity_check(rs_parity_check(t, level, r, delta), delta)
+
+
+def test_rs_self_test_runs_within_the_budget(monkeypatch):
+    import mrlrc.linalg
+
+    calls = []
+    monkeypatch.setattr(mrlrc.linalg, "is_mds_parity_check",
+                        lambda A, delta: calls.append(delta) or True)
+    t = make_tower(2, 1, 4)
+    rs_parity_check(t, "top", 6, 3, budget=comb(6, 3))
+    rs_parity_check(t, "top", 6, 3, budget=comb(6, 3) - 1)
+    assert calls == [3]
 
 
 def test_rs_rejects_too_long():

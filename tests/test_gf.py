@@ -114,7 +114,7 @@ def test_zech_arithmetic_matches_digit_loop(p, a, m):
     logarithms; they must equal the digit-by-digit arithmetic and keep
     the additive group laws."""
     F = make_tower(p, a, m).field("top")
-    ops = F._ops
+    ops = F
     assert F.tables() is not None
     assert len(ops._zech) == F.size - 1
 
@@ -212,6 +212,43 @@ def test_is_generator():
     assert not F4.is_generator(1)
 
 
+@pytest.mark.parametrize("tables", [True, False], ids=["tables", "no-tables"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_level_is_arithmetic_mod_p(monkeypatch, p, tables):
+    """F_p is the degree-1 Field: on tables and Zech logarithms, or with
+    the tables refused, every operation equals the integers mod p."""
+    if not tables:
+        monkeypatch.setattr(gf.config, "TABLE_CAP", 1)
+    F = FieldTower(p, 1, 1).field("prime")  # fresh, not the cached tower's
+    assert (F.tables() is not None) == tables
+    for x in range(p):
+        assert F.neg(x) == -x % p
+        if x:
+            assert F.inv(x) == pow(x, -1, p)
+        for e in range(2 * p):
+            assert F.pow(x, e) == pow(x, e, p)
+        for y in range(p):
+            assert F.add(x, y) == (x + y) % p
+            assert F.sub(x, y) == (x - y) % p
+            assert F.mul(x, y) == x * y % p
+
+
+def test_levels_that_are_one_field_are_one_object():
+    t = make_tower(3, 1, 4)
+    assert t.field("mid") is t.field("prime")
+    assert t.field("top") is not t.field("mid")
+    u = make_tower(2, 2, 1)
+    assert u.field("top") is u.field("mid")
+    assert u.field("mid") is not u.field("prime")
+    with pytest.raises(ParameterError):
+        t.field("bottom")
+
+
+def test_field_operations_are_defined_on_the_class():
+    # perfbench/tracer.py counts field operations by replacing these
+    assert {"add", "sub", "neg", "mul", "inv", "pow"} <= set(vars(gf.Field))
+
+
 def test_make_tower_errors():
     with pytest.raises(ParameterError):
         make_tower(4, 1, 2)  # not prime
@@ -241,9 +278,9 @@ def test_tower_line_rejects_wrong_polynomial():
 
 
 def _fresh_ops(p, a, m):
-    """A new _ExtOps for the top field of a tower, with no tables yet."""
-    ops = make_tower(p, a, m)._ops["top"]
-    return gf._ExtOps(ops.base, ops.modulus)
+    """A new Field for the top field of a tower, with no tables yet."""
+    ops = make_tower(p, a, m).field("top")
+    return gf.Field(ops.base, ops.modulus)
 
 
 @lru_cache(maxsize=None)
@@ -310,13 +347,13 @@ def test_table_build_makes_no_product_per_element(monkeypatch):
     """The walk may call the generic product only for the generator
     search and the two half-image tables, never once per element."""
     calls = []
-    product = gf._ExtOps._mul_raw
+    product = gf.Field._mul_raw
 
     def counted(self, x, y):
         calls.append(None)
         return product(self, x, y)
 
-    monkeypatch.setattr(gf._ExtOps, "_mul_raw", counted)
+    monkeypatch.setattr(gf.Field, "_mul_raw", counted)
     ops = _fresh_ops(3, 1, 10)
     assert ops._find_generator() == 34
     assert len(calls) == GENERATOR_PRODUCTS_3_10
@@ -340,7 +377,7 @@ def test_non_generator_is_refused(monkeypatch, p, m, order):
     n1 = ops.size - 1
     bad = _power(ops, ops._find_generator(), n1 // order)
     assert _power(ops, bad, order) == 1 and bad != 1
-    monkeypatch.setattr(gf._ExtOps, "_find_generator", lambda self: bad)
+    monkeypatch.setattr(gf.Field, "_find_generator", lambda self: bad)
     with pytest.raises(AssertionError, match="generator order"):
         ops._ensure_tables()
     assert ops._exp is ops._log is ops._zech is None
@@ -361,7 +398,7 @@ def test_tables_are_never_seen_half_published(p, a, m):
          ops._digitwise(ops.base.sub, 0, x))
         for x, y in pairs
     ]
-    code = gf._ExtOps._ensure_tables.__code__
+    code = gf.Field._ensure_tables.__code__
     seen_lines, seen_states, errors = set(), set(), []
 
     def use_the_field(frame, event, arg):
@@ -417,7 +454,7 @@ def test_binary_inverse_without_tables_matches_power(monkeypatch):
 @pytest.mark.parametrize("m", [21, 24])
 def test_binary_inverse_above_the_table_cap(m):
     F = make_tower(2, 1, m).field("top")
-    ops = F._ops
+    ops = F
     assert F.size > gf.config.TABLE_CAP and F.tables() is None
     rng = random.Random(m)
     for x in [1, 2, F.size - 1] + [rng.randrange(1, F.size) for _ in range(60)]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from time import perf_counter
 
 import pytest
 
@@ -270,6 +271,17 @@ def test_subfield_construct_n17():
 def test_subfield_construct_respects_hamming_bound():
     S = subfield_construct(make_tower(2), 2, 2, 2)
     assert S.m >= bounds(2, 17, 2, 2).hamming_lower
+
+
+def test_subfield_construct_keeps_the_rs_self_test_in_the_budget():
+    # n = 33, h = 8: the RS parity check's own MDS self-test would walk
+    # C(33, 8) = 13,884,156 column subsets; over budget=10 it is skipped
+    # and the system's sampled certification checks what it derives
+    t0 = perf_counter()
+    S = subfield_construct(make_tower(2), 5, 1, 8, budget=10)
+    assert perf_counter() - t0 < 2
+    assert (S.n, S.h) == (33, 8)
+    assert S.certified and S.certified_sample is not None
 
 
 @pytest.mark.parametrize("p, a, u, r, expected", [
