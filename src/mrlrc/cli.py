@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import fileio, mr, sdss
 from .codes import bch_parity_check, rs_parity_check
@@ -107,6 +106,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _sdss_builder(args, s_dim: int, h: int, n: int):
     """Check the parameters of the requested system and size its tower;
     returns the step that builds it at subspace dimension s_dim."""
@@ -197,8 +206,8 @@ def cmd_construct(args) -> int:
         inner = type(inner)(S.tower, "mid", inner.rows, inner.cols, inner.data)
         P = mr.build_concatenated(spec, S, inner, args.budget)
     sdss_path = args.sdss_out or (args.out + ".sdss")
-    Path(sdss_path).write_text(fileio.format_sdss(S))
-    Path(args.out).write_text(fileio.format_mr(P))
+    _write(sdss_path, fileio.format_sdss(S))
+    _write(args.out, fileio.format_mr(P))
     print(_summary(spec, args, S))
     print(f"# tower {tower_line(spec.tower)}")
     if args.verbose:
@@ -208,7 +217,7 @@ def cmd_construct(args) -> int:
 
 def cmd_sdss(args) -> int:
     S = _sdss_builder(args, args.r, args.h, args.n)()
-    Path(args.out).write_text(fileio.format_sdss(S))
+    _write(args.out, fileio.format_sdss(S))
     print(
         f"n={S.n} r={S.r} h={S.h} m={S.m} q={S.tower.q} "
         f"certified={fileio.certified_flag(S)}"
@@ -217,7 +226,7 @@ def cmd_sdss(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = Path(args.infile).read_text()
+    text = _read(args.infile)
     kind = fileio.sniff_kind(text)
     if kind == "mr":
         P = fileio.parse_mr(text)
@@ -268,7 +277,7 @@ def cmd_bounds(args) -> int:
         f"singleton_lower={rep.singleton_lower}"
     )
     if args.achieved:
-        S = fileio.parse_sdss(Path(args.achieved).read_text())
+        S = fileio.parse_sdss(_read(args.achieved))
         got = (S.tower.q, S.n, S.r, S.h)
         want = (base_size(args.p, args.a), args.n, args.r, args.h)
         if got != want:
@@ -286,20 +295,20 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    P = fileio.parse_mr(Path(args.infile).read_text())
-    msg = fileio.parse_vector(Path(args.message).read_text())
+    P = fileio.parse_mr(_read(args.infile))
+    msg = fileio.parse_vector(_read(args.message))
     G = mr.generator_from_parity(P)
     if len(msg) != G.rows:
         raise ParameterError(f"message must have k={G.rows} symbols, got {len(msg)}")
     cw = mr.encode(G, msg)
-    Path(args.out).write_text(fileio.format_vector(cw))
+    _write(args.out, fileio.format_vector(cw))
     print(f"encoded N={len(cw)} k={G.rows}")
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    P = fileio.parse_mr(Path(args.infile).read_text())
-    rx = fileio.parse_vector(Path(args.received).read_text())
+    P = fileio.parse_mr(_read(args.infile))
+    rx = fileio.parse_vector(_read(args.received))
     try:
         erased = [int(tok) for tok in args.erasures.split(",") if tok.strip()]
     except ValueError as exc:
@@ -313,7 +322,7 @@ def cmd_decode(args) -> int:
         if result.certificate is not None:
             print("certificate: " + " ".join(map(str, result.certificate)))
         return EXIT_NEGATIVE
-    Path(args.out).write_text(fileio.format_vector(result.codeword))
+    _write(args.out, fileio.format_vector(result.codeword))
     print(f"decoded erasures={len(erased)}")
     return EXIT_OK
 

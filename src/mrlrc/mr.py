@@ -27,7 +27,6 @@ from __future__ import annotations
 # threading.Lock is this lock; importing threading would add to the
 # start-up time and memory of every mrlrc command
 from _thread import allocate_lock
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -49,20 +48,17 @@ from .linalg import (
     _strided_combinations,
     _unrank_combination,
 )
+from .record import FrozenRecord, Record
 from .sdss import SubspaceSystem
 
 
-@dataclass(frozen=True)
-class MrCodeSpec:
+class MrCodeSpec(FrozenRecord):
     """Parameters (N = n*r, r, h, delta) over F_ell with ell = q^m."""
 
-    n: int
-    r: int
-    h: int
-    delta: int
-    tower: FieldTower
+    __slots__ = ("n", "r", "h", "delta", "tower")
 
-    def __post_init__(self):
+    def __init__(self, n: int, r: int, h: int, delta: int, tower: FieldTower):
+        self._set(n, r, h, delta, tower)
         if self.n < 1 or self.h < 1:
             raise ParameterError("need n >= 1 and h >= 1")
         if not 1 <= self.delta <= self.r - 1:
@@ -275,12 +271,13 @@ def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix,
 # -- erasure patterns ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
+class ErasurePattern(FrozenRecord):
     """delta absolute positions per group plus h extra positions."""
 
-    per_group: tuple[tuple[int, ...], ...]
-    extra: tuple[int, ...]
+    __slots__ = ("per_group", "extra")
+
+    def __init__(self, per_group: tuple[tuple[int, ...], ...], extra: tuple[int, ...]):
+        self._set(per_group, extra)
 
     def columns(self) -> tuple[int, ...]:
         return tuple(sorted([c for g in self.per_group for c in g] + list(self.extra)))
@@ -357,16 +354,23 @@ def pattern_at(spec: MrCodeSpec, index: int) -> ErasurePattern:
 # -- verification -------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
-    ok: bool
-    patterns_checked: int
-    first_failure: ErasurePattern | None
-    sampled: int | None  # None means exhaustive
-    elapsed: float
-    reason: str = ""
-    # checks done in all; None when there was one per pattern checked
-    checks: int | None = None
+class VerifyReport(Record):
+    """`sampled` is None for an exhaustive walk; `checks` counts the checks
+    done in all, None when there was one per pattern checked."""
+
+    __slots__ = ("ok", "patterns_checked", "first_failure", "sampled", "elapsed",
+                 "reason", "checks")
+
+    def __init__(self, ok: bool, patterns_checked: int,
+                 first_failure: ErasurePattern | None, sampled: int | None,
+                 elapsed: float, reason: str = "", checks: int | None = None):
+        self.ok = ok
+        self.patterns_checked = patterns_checked
+        self.first_failure = first_failure
+        self.sampled = sampled
+        self.elapsed = elapsed
+        self.reason = reason
+        self.checks = checks
 
 
 def _reduced_columns(P: MrParityCheck, g: int, S: tuple[int, ...]) -> dict:
@@ -585,12 +589,17 @@ def encode(G: FieldMatrix, msg) -> list[int]:
     return vec_mat(msg, G)
 
 
-@dataclass
-class DecodeResult:
-    ok: bool
-    codeword: list[int] | None
-    certificate: list[int] | None  # kernel vector over the erased columns
-    reason: str = ""
+class DecodeResult(Record):
+    """`certificate` is a kernel vector over the erased columns."""
+
+    __slots__ = ("ok", "codeword", "certificate", "reason")
+
+    def __init__(self, ok: bool, codeword: list[int] | None,
+                 certificate: list[int] | None, reason: str = ""):
+        self.ok = ok
+        self.codeword = codeword
+        self.certificate = certificate
+        self.reason = reason
 
 
 _DEPENDENT = "erased columns are dependent"

@@ -8,12 +8,18 @@ ambient dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from . import config
-from .codes import BlockCode, LinearCode, block_min_distance, subfield_subcode
+from .codes import (
+    _CHECK_COST,
+    BlockCode,
+    LinearCode,
+    block_distance_at_least,
+    block_min_distance,
+    subfield_subcode,
+)
 from .errors import BudgetError, ParameterError
 from .gf import FieldTower, _digits, _lane_layout, make_tower
 from .linalg import (
@@ -22,6 +28,7 @@ from .linalg import (
     kernel,
     rref,
 )
+from .record import FrozenRecord
 
 
 class SubspaceSystem:
@@ -144,11 +151,11 @@ def gv_dimension(q: int, n: int, r: int, h: int) -> int:
     return r + _floor_log(q, total)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    gv_m: int
-    hamming_lower: int
-    singleton_lower: int
+class BoundsReport(FrozenRecord):
+    __slots__ = ("gv_m", "hamming_lower", "singleton_lower")
+
+    def __init__(self, gv_m: int, hamming_lower: int, singleton_lower: int):
+        self._set(gv_m, hamming_lower, singleton_lower)
 
 
 def bounds(q: int, n: int, r: int, h: int) -> BoundsReport:
@@ -419,10 +426,13 @@ def to_block_code(S: SubspaceSystem) -> BlockCode:
 def from_block_code(B: BlockCode, h: int, budget: int | None = None) -> SubspaceSystem:
     """System spanned by the column groups of a dual generator matrix.
 
-    The distance precondition d_B >= h+1 is checked exactly by
-    `block_min_distance` (dependent parity-column blocks or a codeword
-    walk, whichever costs less) when the codebook fits the budget, and
-    otherwise left to the direct-sum certification that follows.
+    The distance precondition d_B >= h+1 is checked exactly when the
+    codebook fits the budget, and otherwise left to the direct-sum
+    certification that follows.  It holds iff every h parity-column
+    blocks are independent (`block_distance_at_least`), which decides
+    it when those C(n, h) checks fit the subset budget and cost less
+    than the codeword walk, at `codes._CHECK_COST` Gray steps each;
+    otherwise `block_min_distance` finds the exact distance.
     """
     if h < 1:
         raise ParameterError("need h >= 1")
@@ -430,7 +440,13 @@ def from_block_code(B: BlockCode, h: int, budget: int | None = None) -> Subspace
     F = B.code.field()
     k = B.dim
     if F.size**k <= config.codebook_budget(budget) and k > 0:
-        if block_min_distance(B, budget) < h + 1:
+        checks = comb(n, h)
+        if (h < n and checks <= config.subset_budget(budget)
+                and checks * _CHECK_COST < F.size**k - 1):
+            ok = block_distance_at_least(B, h, budget)
+        else:
+            ok = block_min_distance(B, budget) >= h + 1
+        if not ok:
             raise ParameterError("block distance below h+1")
     H = B.code.parity_matrix()
     R, rk, _ = rref(H)

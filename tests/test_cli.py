@@ -591,3 +591,43 @@ def test_codec_symbols_outside_the_field_exit_2(tmp_path, capsys):
                                         "--out", str(tmp_path / "r.txt"))
                 assert code == 2, (p, bad, erasures)
                 assert "UNDECODABLE" not in stdout and "internal" not in err
+
+
+def _child(args, cwd, **kwargs):
+    src = Path(mrlrc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60, **kwargs)
+
+
+def test_python_m_mrlrc_runs_the_cli(tmp_path, capsys):
+    run(capsys, "construct", "--p", "2", "--r", "3", "--h", "2", "--delta", "1",
+        "--n", "5", "--out", str(tmp_path / "c.mr"))
+    lines = []
+    for module in ("mrlrc", "mrlrc.cli"):
+        proc = _child(["-m", module, "verify", "--in", "c.mr"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines.append(_without_elapsed(proc.stdout))
+    assert lines[0] == lines[1] == ["ok patterns_checked=10935"]
+
+
+def test_cli_import_leaves_out_dataclasses_and_pathlib(tmp_path):
+    # each command starts a fresh interpreter: these modules and what
+    # they import would add tens of milliseconds to every one of them
+    heavy = ["dataclasses", "pathlib", "inspect", "ast", "dis", "tokenize"]
+    code = f"import sys, mrlrc.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = _child(["-S", "-c", code], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
+def test_file_errors_print_the_os_message(tmp_path, capsys):
+    missing = tmp_path / "nope.mr"
+    code, stdout, err = run(capsys, "verify", "--in", str(missing))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    out = tmp_path / "no-dir" / "c.mr"
+    code, stdout, err = run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5",
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
