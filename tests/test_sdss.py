@@ -6,11 +6,10 @@ from time import perf_counter
 
 import pytest
 
-from mrlrc import config, sdss
-from mrlrc.codes import BlockCode, LinearCode, block_distance_at_least, block_min_distance
+from mrlrc.codes import BlockCode, LinearCode, block_min_distance
 from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
-from mrlrc.linalg import FieldMatrix, _echelonize, _rank_rows, _reduce_against, rref
+from mrlrc.linalg import FieldMatrix, _echelonize, _rank_rows, _reduce_against
 from mrlrc.sdss import (
     BoundsReport,
     SubspaceSystem,
@@ -342,31 +341,6 @@ def test_from_block_code_distance_precondition():
     full = BlockCode(LinearCode.from_generator(FieldMatrix.identity(t, "prime", 4)), 2)
     with pytest.raises(ParameterError):
         from_block_code(full, 2)  # d_B = 1 < 3
-
-
-@pytest.mark.parametrize("p, a, u, r, h", [
-    (2, 1, 1, 2, 3), (2, 1, 1, 3, 3), (2, 1, 1, 3, 4), (2, 1, 2, 1, 2),
-    (2, 1, 2, 2, 4), (3, 1, 1, 2, 4), (3, 1, 1, 2, 5), (2, 2, 1, 1, 2),
-], ids=str)
-def test_h_subset_route_agrees_with_exact_distance(monkeypatch, p, a, u, r, h):
-    # the block codes of subfield constructions whose codebooks fit the cap
-    seen = []
-    real = sdss.from_block_code
-    monkeypatch.setattr(sdss, "from_block_code",
-                        lambda B, h, budget=None: seen.append(B) or real(B, h, budget))
-    subfield_construct(make_tower(p, a), u, r, h)
-    [B] = seen
-    assert B.code.field().size ** B.dim <= config.codebook_budget()
-    assert block_distance_at_least(B, h) == (block_min_distance(B) >= h + 1) is True
-    # block 1 copied onto block 0: a codeword on those two blocks, d <= 2 <= h
-    H = B.code.parity_matrix()
-    rows = [row[r:2 * r] + row[r:] for row in H.to_rows()]
-    R, rk, _ = rref(FieldMatrix.from_rows(H.tower, H.level, rows))
-    bad = BlockCode(LinearCode.from_parity(FieldMatrix.from_rows(
-        H.tower, H.level, R.to_rows()[:rk])), r)
-    assert block_distance_at_least(bad, h) == (block_min_distance(bad) >= h + 1) is False
-    with pytest.raises(ParameterError, match=r"block distance below h\+1"):
-        from_block_code(bad, h)
 
 
 def test_round_trip_preserves_parameters():
