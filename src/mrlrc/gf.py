@@ -17,9 +17,13 @@ F_p[x]/(x), whose codes are 0..p-1.  Levels that are the same field
 (mid when a = 1, top when m = 1) are the same object.  Towers and their
 element codes are immutable; all operations are pure functions, safe to
 share across threads.  Fields up to config.TABLE_CAP elements, F_p
-included, build log/exp tables on first use and then multiply on them;
-odd-characteristic fields then also add, subtract and negate on a table
-of Zech logarithms.
+included, build log/exp tables the first time `mul`, `inv`, `pow` or
+`tables` is called on them and then multiply on them; odd-characteristic
+fields then also add, subtract and negate on a table of Zech logarithms,
+but `add`, `sub` and `neg` never build the tables themselves.
+`FieldTower.frobenius` never builds tables of the top field: x -> x^q
+is F_p-linear on the base-p digits of x's code, so it sums the images of
+the a*m basis elements, computed once by generic products.
 
 The tables come from one walk over the powers of a generator g.
 Multiplying by g is F_p-linear on the base-p digits of a code, so a
@@ -532,7 +536,7 @@ class FieldTower:
     it is.
     """
 
-    __slots__ = ("p", "a", "m", "q", "base_poly", "ext_poly", "_levels")
+    __slots__ = ("p", "a", "m", "q", "base_poly", "ext_poly", "_levels", "_frob")
 
     def __init__(self, p: int, a: int, m: int):
         q = base_size(p, a)
@@ -561,6 +565,7 @@ class FieldTower:
             self.ext_poly = _min_irreducible(digits, m)
             top = Field(digits, self.ext_poly)
         self._levels = {"prime": prime, "mid": mid, "top": top}
+        self._frob = None
 
     # -- level views ---------------------------------------------------
     def field(self, level: str) -> Field:
@@ -573,11 +578,65 @@ class FieldTower:
         return self.field(level).size
 
     # -- top-level structure over F_q -----------------------------------
+    def _frobenius_images(self):
+        """(w, images): images[k] is the q-th power of the top element
+        with code p^k, for k < a*m.  With y the top generator and Y_j =
+        (y^j)^q, the element p^(j*a + i) is beta_i * y^j for the mid
+        element beta_i = p^i, fixed by x -> x^q, so its image is
+        beta_i * Y_j.  In characteristic 2 an image is its code (w = 1);
+        otherwise its base-p digits, one per w-bit lane (`_lanes`), wide
+        enough to hold a sum of a*m digit products unreduced.  All
+        products are `_mul_raw`; published in one assignment."""
+        top = self.field("top")
+        p, a, n = self.p, self.a, self.a * self.m
+        ys = [1, top._pow_raw(self.q, self.q)]
+        while len(ys) < self.m:
+            ys.append(top._mul_raw(ys[-1], ys[1]))
+        images = [y if i == 0 else top._mul_raw(p**i, y) for y in ys for i in range(a)]
+        w = 1 if p == 2 else (n * (p - 1) ** 2).bit_length()
+        if p != 2:
+            images = [_lanes(z, p, w) for z in images]
+        self._frob = frob = (w, tuple(images))
+        return frob
+
     def frobenius(self, x: int, i: int = 1) -> int:
-        """x^(q^i) in the top field; i = 0 is the identity."""
+        """x^(q^i) in the top field; i = 0 is the identity.
+
+        Builds no tables of the top field: i mod m applications of the
+        F_q-linear map x -> x^q (Lidl-Niederreiter, Finite Fields, ch. 2),
+        each the sum of the images of x's base-p digits
+        (`_frobenius_images`): an XOR of images over x's set bits in
+        characteristic 2, else a lane-wise sum reduced mod p per digit.
+        """
         if i < 0:
             raise ParameterError("frobenius power must be >= 0")
-        return self.field("top").pow(x, self.q ** (i % self.m))
+        i %= self.m
+        if not i or not x:
+            return x
+        w, images = self._frob or self._frobenius_images()
+        p = self.p
+        if p == 2:
+            for _ in range(i):
+                y = k = 0
+                while x:
+                    if x & 1:
+                        y ^= images[k]
+                    x >>= 1
+                    k += 1
+                x = y
+            return x
+        mask = (1 << w) - 1
+        shifts = range(w * (len(images) - 1), -1, -w)
+        for _ in range(i):
+            acc = k = 0
+            while x:
+                x, d = divmod(x, p)
+                if d:
+                    acc += d * images[k]
+                k += 1
+            for s in shifts:
+                x = x * p + ((acc >> s) & mask) % p
+        return x
 
     def fq_basis(self) -> list[int]:
         """The polynomial basis 1, y, ..., y^(m-1) as top-level codes."""

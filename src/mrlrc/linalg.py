@@ -261,6 +261,7 @@ def kernel(M: FieldMatrix) -> FieldMatrix:
     """
     R, rk, pivots = rref(M)
     F = M.field()
+    neg = F.neg if F.char != 2 else None  # -x = x in characteristic 2
     pivset = set(pivots)
     free = [c for c in range(M.cols) if c not in pivset]
     rows = []
@@ -268,7 +269,8 @@ def kernel(M: FieldMatrix) -> FieldMatrix:
         v = [0] * M.cols
         v[fcol] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R.at(i, fcol))
+            e = R.at(i, fcol)
+            v[pc] = neg(e) if neg else e
         rows.append(v)
     if not rows:
         return FieldMatrix(M.tower, M.level, 0, M.cols, [])

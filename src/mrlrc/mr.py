@@ -257,14 +257,16 @@ def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix,
         raise ParameterError(
             f"inner code distance below h+delta+1: columns {sel} are dependent"
         )
-    # F_q codes embed as constants, so the inner parity reads over the top
-    # field as it is
-    inner_top = FieldMatrix(t, "top", s, spec.r, inner.data)
+    # column c's alpha is the F_q-combination of the group's basis by the
+    # inner column c: formed on coordinate vectors over F_q, so no product
+    # in the top field is needed
+    cols = [inner.column(c) for c in range(spec.r)]
     A = local_parity_check(t, spec.r, spec.delta)
     D = []
     for group in S.basis:
-        alphas = [t.vec_to_top(v) for v in group]
-        D.append(moore_matrix(t, vec_mat(alphas, inner_top), spec.h))
+        G = FieldMatrix.from_rows(t, "mid", group)
+        alphas = [t.vec_to_top(vec_mat(col, G)) for col in cols]
+        D.append(moore_matrix(t, alphas, spec.h))
     return MrParityCheck(spec, A, D)
 
 

@@ -168,6 +168,58 @@ def test_frobenius_examples():
         assert t16.frobenius(x, t16.m) == x
 
 
+def small_towers(limit=2**12):
+    """Every (p, a, m) with p in {2, 3, 5}, a in {1, 2, 3} and p^(a*m) <= limit."""
+    for p in (2, 3, 5):
+        for a in (1, 2, 3):
+            m = 1
+            while p ** (a * m) <= limit:
+                yield p, a, m
+                m += 1
+
+
+def test_frobenius_matches_pow_on_every_small_tower():
+    # a fresh tower per shape, so the table-free map is set up on each;
+    # m = 1 (top is mid) included, where every power is the identity
+    for p, a, m in small_towers():
+        t = FieldTower(p, a, m)
+        F = t.field("top")
+        for i in (0, 1, 2, m, m + 1, 2 * m + 3):
+            e = t.q ** (i % m)
+            for x in F.elements():
+                assert t.frobenius(x, i) == F.pow(x, e), (p, a, m, i, x)
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 1, 16), (3, 1, 10), (2, 2, 6)])
+def test_frobenius_matches_pow_on_random_elements(p, a, m):
+    t = FieldTower(p, a, m)
+    F = t.field("top")
+    rng = random.Random(p * 100 + a * 10 + m)
+    for x in [0, 1, F.size - 1] + [rng.randrange(F.size) for _ in range(300)]:
+        for i in (0, 1, 3, m, m + 2):
+            assert t.frobenius(x, i) == F.pow(x, t.q ** (i % m))
+
+
+def test_frobenius_above_the_table_cap():
+    t = FieldTower(2, 1, 21)
+    F = t.field("top")
+    assert F.size > gf.config.TABLE_CAP
+    rng = random.Random(21)
+    for x in [1, F.size - 1] + [rng.randrange(F.size) for _ in range(100)]:
+        assert t.frobenius(x) == F._pow_raw(x, 2)
+        assert t.frobenius(x, 2) == F._pow_raw(x, 4)
+        assert t.frobenius(x, 21) == x
+    assert F._exp is None
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 1, 16), (3, 1, 10), (2, 2, 6), (5, 1, 4)])
+def test_frobenius_builds_no_top_tables(p, a, m):
+    t = FieldTower(p, a, m)
+    for x in range(0, t.level_size("top"), 97):
+        t.frobenius(x, 2)
+    assert t.field("top")._exp is None and t.field("top")._zech is None
+
+
 def test_fq_basis():
     assert make_tower(2, 1, 2).fq_basis() == [1, 2]
     assert make_tower(3, 1, 1).fq_basis() == [1]

@@ -6,10 +6,10 @@ from math import comb
 
 import pytest
 
-from mrlrc.codes import bch_parity_check
+from mrlrc.codes import bch_parity_check, rs_parity_check
 from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
-from mrlrc.linalg import FieldMatrix, mat_vec, matmul, _rank_rows
+from mrlrc.linalg import FieldMatrix, mat_vec, matmul, vec_mat, _rank_rows
 from mrlrc.mr import (
     ErasurePattern,
     MrCodeSpec,
@@ -242,6 +242,51 @@ def test_build_concatenated_identity_inner_matches_direct():
     P = build_concatenated(spec, S, inner)
     direct = build_direct(spec, S)
     assert P.H == direct.H
+
+
+def test_build_direct_builds_no_top_tables():
+    make_tower.cache_clear()
+    t = make_tower(3, 1, 6)
+    S = mds_construct(t, 4, 3, 2)
+    P = build_direct(MrCodeSpec(n=4, r=3, h=2, delta=1, tower=t), S)
+    assert all(is_moore(t, D) for D in P.D)
+    assert t.field("top")._exp is None
+
+
+def _concat_bch_15_2():
+    inner = bch_parity_check(4, 2)  # [15, 7, 5], s = 8
+    t = make_tower(2, 1, 16)
+    S = mds_construct(t, 3, inner.rows, 2)
+    spec = MrCodeSpec(n=3, r=15, h=2, delta=1, tower=t)
+    return spec, S, FieldMatrix(t, "mid", inner.rows, inner.cols, inner.data)
+
+
+def _concat_rs_p3():
+    t = make_tower(3, 1, 6)
+    inner = rs_parity_check(make_tower(3), "mid", 4, 3)  # [4, 1, 4] over F_3
+    S = mds_construct(t, 3, 3, 2)
+    spec = MrCodeSpec(n=3, r=4, h=2, delta=1, tower=t)
+    return spec, S, FieldMatrix(t, "mid", inner.rows, inner.cols, inner.data)
+
+
+def test_build_concatenated_builds_no_top_tables():
+    make_tower.cache_clear()
+    spec, S, inner = _concat_bch_15_2()
+    build_concatenated(spec, S, inner)
+    assert spec.tower.field("top")._exp is None
+
+
+@pytest.mark.parametrize("case", [_concat_bch_15_2, _concat_rs_p3])
+def test_build_concatenated_matches_top_field_combinations(case):
+    # oracle: the alphas as top-field products of the basis by the inner
+    # parity, as F_q codes embed as constants
+    spec, S, inner = case()
+    t = spec.tower
+    inner_top = FieldMatrix(t, "top", inner.rows, inner.cols, inner.data)
+    P = build_concatenated(spec, S, inner)
+    for group, D in zip(S.basis, P.D):
+        alphas = [t.vec_to_top(v) for v in group]
+        assert D == moore_matrix(t, vec_mat(alphas, inner_top), spec.h)
 
 
 # -- patterns ------------------------------------------------------------------
