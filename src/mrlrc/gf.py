@@ -628,14 +628,15 @@ class FieldTower:
         mask = (1 << w) - 1
         shifts = range(w * (len(images) - 1), -1, -w)
         for _ in range(i):
-            acc = k = 0
+            acc = k = y = 0
             while x:
                 x, d = divmod(x, p)
                 if d:
                     acc += d * images[k]
                 k += 1
             for s in shifts:
-                x = x * p + ((acc >> s) & mask) % p
+                y = y * p + ((acc >> s) & mask) % p
+            x = y
         return x
 
     def fq_basis(self) -> list[int]:
