@@ -202,8 +202,6 @@ def cmd_construct(args) -> int:
     if inner is None:
         P = mr.build_direct(spec, S)
     else:
-        # re-frame the inner parity in the ambient tower's mid level
-        inner = type(inner)(S.tower, "mid", inner.rows, inner.cols, inner.data)
         P = mr.build_concatenated(spec, S, inner, args.budget)
     sdss_path = args.sdss_out or (args.out + ".sdss")
     _write(sdss_path, fileio.format_sdss(S))

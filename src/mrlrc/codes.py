@@ -6,8 +6,9 @@ designed distance whenever the codebook fits the configured budget.
 One exact computation (`_distance`) serves Hamming and block distances
 alike, by the cheaper of two exact routes for the code's sizes: the
 least number of dependent parity-column blocks (`_parity_distance`), or
-a walk over all codewords, one Gray walk for every q on codewords
-packed into a single int (`_min_weight`).
+a walk over all codewords (`_min_weight`): the counting walk of the
+greedy span scan, on codewords packed into one int by `gf._lane_layout`
+with one field per block.
 Top-level parity rows become F_q coordinate rows only in
 `subfield_subcode`, and the multiples l*x, l in the F_q-basis of the
 top field, only in `pi_rows`.
@@ -20,7 +21,15 @@ from math import comb
 
 from . import config
 from .errors import BudgetError, ParameterError
-from .gf import Field, FieldTower, _lane_layout, _lanes, make_tower
+from .gf import (
+    Field,
+    FieldTower,
+    _counting_steps,
+    _digit_count,
+    _lane_layout,
+    _lanes,
+    make_tower,
+)
 from .linalg import FieldMatrix, first_dependent_subset, kernel, matmul, rank, rref
 
 
@@ -83,7 +92,7 @@ class LinearCode:
         """Exact minimum Hamming distance; length+1 for the
         zero-dimensional code.  It is `block_min_distance` with blocks
         of one symbol: the least number of dependent parity columns, or
-        a Gray walk over all codewords, whichever costs less."""
+        a counting walk over all codewords, whichever costs less."""
         if self._min_distance is None:
             self._min_distance = _distance(self, 1, budget)
         return self._min_distance
@@ -116,13 +125,14 @@ def _check_codebook(q: int, k: int, budget: int | None):
         raise BudgetError(f"codebook {q}^{k} exceeds the budget {cap}")
 
 
-# One subset check of `_parity_distance` in Gray steps of `_min_weight`.
-# Measured in-process (2-core x86_64 Xeon, Python 3.11): 27-28 us per
-# check against 0.8 us per step on the subfield code of the u = 1,
-# r = 3, h = 3 construction (blocks of 3 columns of height 9), 35 steps;
-# 133-137 us against 1.3 us on the pi-expansion of RS[10, 3] over F_16
-# (blocks of 4 columns of height 28), 100 steps.  The larger ratio keeps
-# the parity route to codes where it wins by a margin.
+# One subset check of `_parity_distance` in steps of `_min_weight`.
+# Measured in-process (2-core x86_64 Xeon, Python 3.11; best of 5, the
+# checks of every size below the distance against the whole walk):
+# 13.6 us per check against 0.35 us per step on the subfield code of
+# the u = 1, r = 3, h = 3 construction (blocks of 3 columns of height
+# 9), 38 steps; 53.6 us against 0.26 us on the pi-expansion of
+# RS[10, 3] over F_16 (blocks of 4 columns of height 28), 204 steps.
+# The value keeps the parity route to codes where it wins by a margin.
 _CHECK_COST = 100
 
 
@@ -133,8 +143,8 @@ def _distance(code: LinearCode, block: int, budget: int | None) -> int:
     The codebook budget applies to both routes, which are both exact:
     the parity-column route (`_parity_distance`) when its subset checks,
     up to the block Singleton bound s = n - ceil(k/block) + 1 and each
-    weighted as `_CHECK_COST` Gray steps, cost less than the q^k - 1
-    steps of the Gray walk (`_min_weight`), and the Gray walk otherwise.
+    weighted as `_CHECK_COST` walk steps, cost less than the q^k - 1
+    steps of the codeword walk (`_min_weight`), and the walk otherwise.
     """
     n = code.length // block
     k = code.dim
@@ -174,76 +184,40 @@ def _parity_distance(H: FieldMatrix, block: int, s: int) -> int:
 def _min_weight(F: Field, gen_rows: list[list[int]], block: int) -> int:
     """Minimum block weight over the nonzero span of gen_rows.
 
-    Walks all q^k messages in reflected Gray order, so that each step
-    changes one message digit by one and adds one precomputed multiple
-    of a row to the running codeword.  That codeword is a single int
-    holding the base-p digits of every symbol in the lanes of
-    `gf._lane_layout`: a step is one XOR in characteristic 2, otherwise
-    one addition and the lane-wise reduction mod p, and a step down
-    adds the packed negation.  Zero codewords from dependent rows are
-    skipped.
+    Counts through all q^k messages as base-p digit vectors, q = p^a,
+    ascending: digit j*a + i is message symbol j's coefficient of the
+    F_p-basis element p^i of F_q, and its image is p^i * row j.  The
+    running codeword is one int with a field of `gf._lane_layout` per
+    block, and takes one `gf._counting_steps` step per message, so every
+    nonzero codeword is visited once; its block weight is the number of
+    guard bits that survive the zero test.  Zero codewords from
+    dependent rows are skipped.
     """
-    k = len(gen_rows)
+    q, p = F.size, F.char
     n = len(gen_rows[0])
-    q = F.size
-    p = F.char
-    nb = n // block
-    digits, lw, bias, tops = _lane_layout(p, q, n)
-    sw = digits * lw  # bits per symbol
-
-    def pack(row):
-        acc = 0
-        for t, sym in enumerate(row):
-            acc |= _lanes(sym, p, lw) << (t * sw)
-        return acc
-
-    xor = p == 2
-    steps = [F.sub(d + 1, d) for d in range(q - 1)]
-    ups = []
-    downs = []
-    for row in gen_rows:
-        up = [[F.mul(s, e) for e in row] for s in steps]
-        ups.append([pack(v) for v in up])
-        downs.append(ups[-1] if xor else [pack([F.neg(e) for e in v]) for v in up])
-    bw = block * sw
-    masks = [((1 << bw) - 1) << (i * bw) for i in range(nb)]
-    top = lw - 1
+    a = _digit_count(p, q)
+    w, offsets, ones, guards, tops, bias = _lane_layout(p, [block * a] * (n // block))
+    at = [offsets[t // block] + (t % block) * a * w for t in range(n)]
+    images = [sum(_lanes(F.mul(p**i, e), p, w) << s for e, s in zip(row, at))
+              for row in gen_rows for i in range(a)]
+    steps = _counting_steps(images, p, w, tops, bias)
+    best = n // block + 1
     cw = 0
-    best = nb + 1
-    a = [0] * k
-    f = list(range(k + 1))
-    o = [1] * k
-    qm1 = q - 1
-    while True:
-        j = f[0]
-        f[0] = 0
-        if j == k:
-            break
-        aj = a[j]
-        if o[j] == 1:
-            step = ups[j][aj]
-            aj += 1
+    last = p - 1
+    # the steps take `gf._lane_add` inline, as in `sdss._first_outside`
+    for c in range(q ** len(gen_rows) - 1):
+        if p == 2:
+            cw ^= steps[(c ^ (c + 1)).bit_length() - 1]
         else:
-            aj -= 1
-            step = downs[j][aj]
-        a[j] = aj
-        if xor:
-            cw ^= step
-        else:
-            cw += step
-            cw -= (((cw + bias) & tops) >> top) * p
-        if aj == 0 or aj == qm1:
-            o[j] = -o[j]
-            f[j] = f[j + 1]
-            f[j + 1] = j + 1
-        w = 0
-        for msk in masks:
-            if cw & msk:
-                w += 1
-                if w >= best:
-                    break
-        if 0 < w < best:
-            best = w
+            k, x = 0, c
+            while x % p == last:
+                x //= p
+                k += 1
+            cw += steps[k]
+            cw -= (((cw + bias) & tops) >> (w - 1)) * p
+        weight = (((cw | guards) - ones) & guards).bit_count()
+        if 0 < weight < best:
+            best = weight
             if best == 1:
                 break
     return best
@@ -378,7 +352,7 @@ def block_min_distance(B: BlockCode, budget: int | None = None) -> int:
 
     Both routes of `_distance` are exact, and the sizes alone pick one:
     the least t for which some t parity-column blocks are dependent, or
-    a Gray walk over all q^k codewords.  The codebook budget (BudgetError)
+    a counting walk over all q^k codewords.  The codebook budget (BudgetError)
     applies to both."""
     return _distance(B.code, B.block_size, budget)
 

@@ -30,16 +30,21 @@ Multiplying by g is F_p-linear on the base-p digits of a code, so a
 step adds the precomputed images of the code's low and high halves of
 digits (p^ceil(n/2) + p^floor(n/2) generic products in all, for n
 digits), held one digit per bit lane: XOR in characteristic 2, else a
-lane-wise conditional subtraction of p.  Everything is built in locals
-and published log first, exp next and the Zech table last: a thread
-that finds exp set also finds log, and one that finds the Zech table
-finds all three.
+lane-wise conditional subtraction of p (`_lane_add`).  `_lane_layout`
+is the package's one packed-word layout: the table walk, the greedy
+span scan (`sdss._first_outside`) and the codeword walk
+(`codes._min_weight`) all lay their words out with it, and the last two
+count through base-p digits with `_counting_steps`.
+
+Everything is built in locals and published log first, exp next and
+the Zech table last: a thread that finds exp set also finds log, and
+one that finds the Zech table finds all three.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, count, islice
 
 from . import config
 from .errors import FormatError, ParameterError
@@ -123,25 +128,66 @@ def _lanes(code: int, p: int, w: int) -> int:
     return out
 
 
-def _lane_layout(p: int, size: int, count: int) -> tuple[int, int, int, int]:
-    """Lane packing of `count` elements of a field with size = p^n.
+def _digit_count(p: int, size: int) -> int:
+    """n with size = p^n: the base-p digits of one element's code."""
+    return next(n for n in count(1) if p**n >= size)
 
-    Returns (n, w, bias, tops): each element takes n base-p digits, one
-    per w-bit lane (`_lanes`), element i in lanes i*n to i*n + n - 1.
-    In characteristic 2 a lane is one bit, packed vectors add by XOR and
-    bias = tops = 0.  Otherwise every lane of the plain sum v of two
-    packed vectors is below 2p, and v - (((v + bias) & tops) >> (w-1)) * p
-    reduces each lane mod p: 2^(w-1) >= p, so adding 2^(w-1) - p sets a
-    lane's top bit exactly when it holds p or more.
+
+def _lane_layout(p: int, fields) -> tuple[int, list[int], int, int, int, int]:
+    """The packed word: fields of base-p digits in one int.
+
+    fields[f] is the number of digits of field f.  Each digit takes one
+    w-bit lane (`_lanes`), lowest first; field f starts at bit
+    offsets[f], and one guard bit above its lanes stays zero in every
+    packed value.  Returns (w, offsets, ones, guards, tops, bias): ones
+    has the lowest bit of every field and guards every guard bit, so
+    ((v | guards) - ones) & guards keeps the guard bits of exactly the
+    nonzero fields of v, since subtracting 1 from a field borrows from
+    its guard only when the field is 0.  In characteristic 2 a lane is
+    one bit and tops = bias = 0; otherwise tops has the top bit of every
+    lane and bias 2^(w-1) - p in every lane (`_lane_add`).
     """
-    n = 1
-    while p**n < size:
-        n += 1
+    w = 1 if p == 2 else (p - 1).bit_length() + 1
+    offsets = []
+    ones = guards = lanes = shift = 0
+    for n in fields:
+        offsets.append(shift)
+        ones |= 1 << shift
+        lanes |= ((1 << (w * n)) - 1) // ((1 << w) - 1) << shift  # 1 in every lane
+        shift += w * n
+        guards |= 1 << shift
+        shift += 1
     if p == 2:
-        return n, 1, 0, 0
-    w = (p - 1).bit_length() + 1
-    ones = ((1 << (w * n * count)) - 1) // ((1 << w) - 1)  # 1 in every lane
-    return n, w, ((1 << (w - 1)) - p) * ones, ones << (w - 1)
+        return w, offsets, ones, guards, 0, 0
+    return w, offsets, ones, guards, lanes << (w - 1), lanes * ((1 << (w - 1)) - p)
+
+
+def _lane_add(x: int, y: int, p: int, w: int, tops: int, bias: int) -> int:
+    """Lane-wise sum mod p of two words packed by `_lane_layout`.
+
+    XOR in characteristic 2.  Otherwise every lane of the plain sum v
+    is below 2p, and v - (((v + bias) & tops) >> (w-1)) * p reduces each
+    lane mod p: 2^(w-1) >= p, so adding 2^(w-1) - p sets a lane's top bit
+    exactly when it holds p or more.  Hot loops write this inline.
+    """
+    if p == 2:
+        return x ^ y
+    v = x + y
+    return v - (((v + bias) & tops) >> (w - 1)) * p
+
+
+def _counting_steps(images, p: int, w: int, tops: int, bias: int) -> list[int]:
+    """The steps of a base-p counter on packed images, for one counting walk.
+
+    images[i] is the packed image of the i-th unit digit vector under an
+    F_p-linear map.  Going from c to c + 1 adds 1 to the lowest k + 1
+    digits of c, where k counts its trailing p - 1 digits (they wrap to
+    0, which is +1 mod p), so the image changes by steps[k] = images[0]
+    + ... + images[k].  In characteristic 2, k is
+    (c ^ (c + 1)).bit_length() - 1.  A last 0 is the step past the last
+    code, never taken.
+    """
+    return [*accumulate(images, lambda x, y: _lane_add(x, y, p, w, tops, bias)), 0]
 
 
 class Field:
@@ -341,8 +387,10 @@ class Field:
         # x -> x*g is F_p-linear on the base-p digits of x's code (an F_q
         # digit is a group of base-p digits), so x*g is the sum of the
         # images of x's low k digits and of its high n - k digits.  The
-        # walk keeps x lane-packed as `_lane_layout` lays it out.
-        n, w, bias, tops = _lane_layout(p, size, 1)
+        # walk keeps x lane-packed as one field of `_lane_layout`, and
+        # takes `_lane_add` inline.
+        n = _digit_count(p, size)
+        w, _, _, _, tops, bias = _lane_layout(p, [n])
         k = n // 2
         split = p**k
         shift = w * k

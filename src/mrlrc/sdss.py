@@ -14,7 +14,7 @@ from math import comb
 from . import config
 from .codes import BlockCode, LinearCode, block_min_distance, subfield_subcode
 from .errors import BudgetError, ParameterError
-from .gf import FieldTower, _digits, _lane_layout, make_tower
+from .gf import FieldTower, _counting_steps, _digits, _lane_add, _lane_layout, make_tower
 from .linalg import (
     FieldMatrix,
     first_dependent_subset,
@@ -99,9 +99,10 @@ def _certify(S: SubspaceSystem, budget: int | None = None) -> SubspaceSystem:
         S.certified = True
         S.certified_sample = None
         return S
-    # sampled certification: every step-th subset, deterministically
+    # sampled certification: every step-th subset, deterministically;
+    # step = ceil(total / cap) keeps the sample within the cap
     bad, checked = first_dependent_subset(
-        S.tower.field("mid"), S.basis, S.h, step=max(1, total // cap)
+        S.tower.field("mid"), S.basis, S.h, step=-(-total // cap)
     )
     if bad is not None:
         raise AssertionError("construction produced a non-direct system")
@@ -191,49 +192,25 @@ def _first_outside(p: int, n: int, check_sets: list[list[list[int]]],
     """Smallest code in [start, p^n) whose base-p digits (lowest first)
     fail some check of every set, or None.
 
-    Every check gets one w-bit lane (`gf._lane_layout`), and a guard bit
-    above each set's lanes stays zero; the word holds all syndromes of
-    the current code.  Going from c to c+1 adds e_0 + ... + e_k to the
-    digits, where k counts the trailing (p-1) digits of c (they wrap to
-    0, which is +1 mod p), so the word takes one lane-wise mod-p addition
-    of the precomputed syndrome of e_0 + ... + e_k.  Subtracting a 1 at
-    the bottom of each set's field borrows from its guard bit exactly
-    when the field is zero, that is when the code lies in that span.
+    Each set is one field of `gf._lane_layout`, one lane per check, so
+    the word holds all syndromes of the current code, and a set's guard
+    bit survives the zero test exactly when the code lies outside its
+    span.  The codes are counted through with `gf._counting_steps`: one
+    lane-wise mod-p addition per code.
     """
-    w = _lane_layout(p, p, 1)[1]
+    w, offsets, ones, guards, tops, bias = _lane_layout(p, map(len, check_sets))
     cols = [0] * n
-    guards = ones = tops = 0
-    shift = 0
-    for checks in check_sets:
-        ones |= 1 << shift
-        for y in checks:
+    for checks, shift in zip(check_sets, offsets):
+        for j, y in enumerate(checks):
             for i, d in enumerate(y):
                 if d:
-                    cols[i] |= d << shift
-            tops |= 1 << (shift + w - 1)
-            shift += w
-        guards |= 1 << shift
-        shift += 1
-    bias = (tops >> (w - 1)) * ((1 << (w - 1)) - p)
-
-    def add(x, y):
-        # lane-wise mod p, as _lane_layout explains; XOR in characteristic 2
-        if p == 2:
-            return x ^ y
-        x += y
-        return x - (((x + bias) & tops) >> (w - 1)) * p
-
-    steps = []
-    acc = 0
-    for col in cols:
-        acc = add(acc, col)
-        steps.append(acc)
-    steps.append(0)  # the step past the last code, never taken
+                    cols[i] |= d << (shift + j * w)
+    steps = _counting_steps(cols, p, w, tops, bias)
     word = 0
     for col, d in zip(cols, _digits(start, p, n)):
         for _ in range(d):
-            word = add(word, col)
-    # the scans below take `add` inline: it is most of their time
+            word = _lane_add(word, col, p, w, tops, bias)
+    # the scans below take `_lane_add` inline: it is most of their time
     if p == 2:
         for c in range(start, 1 << n):
             if ((word | guards) - ones) & guards == guards:

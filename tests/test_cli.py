@@ -151,6 +151,24 @@ def test_construct_concat_bch(tmp_path, capsys):
     assert stdout.splitlines()[0] == "N=30 r=15 h=2 delta=1 ell=2^16 method=concat certified=1"
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--inner", "bch:15"], "inner code must be bch:<r>:<delta> or rs:<r>:<s>"),
+    (["--inner", "bch:x:2"], "inner code parameters must be integers"),
+    (["--inner", "bch:14:2"], "bch inner length must be 2^t - 1"),
+    (["--inner", "bch:15:2", "--p", "3"], "bch inner codes require q = 2"),
+    (["--inner", "foo:3:1"], "unknown inner code kind 'foo'"),
+    ([], "concat construction needs --inner"),
+    (["--inner", "bch:7:1"], "inner code length 7 does not match --r 15"),
+], ids=["bch-two-fields", "bch-not-integer", "bch-length", "bch-odd-p", "unknown-kind",
+        "no-inner", "length-mismatch"])
+def test_construct_concat_bad_inner_exits_2(tmp_path, capsys, extra, message):
+    argv = ["construct", "--p", "2", "--r", "15", "--h", "2", "--delta", "1", "--n", "3",
+            "--method", "concat", *extra, "--out", str(tmp_path / "x.mr")]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err.splitlines()) == (2, "", [f"error: {message}"])
+    assert not any(tmp_path.iterdir())
+
+
 def test_bounds_output(capsys):
     code, stdout, _ = run(capsys, "bounds", "--p", "2", "--n", "5", "--r", "2", "--h", "2")
     assert code == 0
@@ -335,6 +353,20 @@ def test_encode_decode_round_trip(tmp_path, capsys):
                      "--erasures", "0,3,6,9,1,11", "--out", str(rec))
     assert code == 0
     assert rec.read_text() == cw.read_text()
+
+
+def test_encode_wrong_message_length_exits_2(tmp_path, capsys):
+    out = tmp_path / "c.mr"
+    run(capsys, "construct", "--p", "2", "--r", "2", "--h", "1", "--delta", "1",
+        "--n", "3", "--out", str(out))
+    msg = tmp_path / "msg.txt"
+    msg.write_text("1\n0\n1\n")
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run(capsys, "encode", "--in", str(out), str(msg),
+                            "--out", str(tmp_path / "cw.txt"))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == ["error: message must have k=2 symbols, got 3"]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_encode_zero_message(tmp_path, capsys):
@@ -530,9 +562,9 @@ def test_sampled_certification_is_not_reported_as_certified(tmp_path, capsys, mo
     from mrlrc import sdss
     from mrlrc.gf import make_tower
 
-    monkeypatch.setenv("MRLRC_BUDGET", "3")  # C(5, 2) = 10 subsets, so every 3rd
+    monkeypatch.setenv("MRLRC_BUDGET", "3")  # C(5, 2) = 10 subsets, so every 4th
     S = sdss.mds_construct(make_tower(2, 1, 4), 5, 2, 2)
-    assert S.certified and S.certified_sample == len(range(0, comb(5, 2), 10 // 3)) == 4
+    assert S.certified and S.certified_sample == len(range(0, comb(5, 2), 4)) == 3
     out = tmp_path / "c.mr"
     code, stdout, _ = run(capsys, "construct", "--p", "2", "--r", "2", "--h", "2",
                           "--delta", "1", "--n", "5", "--out", str(out))

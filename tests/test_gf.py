@@ -513,3 +513,30 @@ def test_binary_inverse_above_the_table_cap(m):
         y = F.inv(x)
         assert y == ops._pow_raw(x, F.size - 2)
         assert ops._mul_raw(x, y) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lane_layout_zero_test_and_add(p):
+    # multi-lane fields, one-lane fields and an empty field, which is
+    # zero in every word
+    fields = [3, 1, 0, 4, 2]
+    w, offsets, ones, guards, tops, bias = gf._lane_layout(p, fields)
+    rng = random.Random(p)
+
+    def pack(vec):
+        return sum(d << (offsets[f] + j * w)
+                   for f, digits in enumerate(vec) for j, d in enumerate(digits))
+
+    def draw():
+        # each field is zero with probability 1/2, else random digits
+        return [[rng.randrange(p) for _ in range(n)] if rng.randrange(2) else [0] * n
+                for n in fields]
+
+    for _ in range(300):
+        x, y = draw(), draw()
+        kept = ((pack(x) | guards) - ones) & guards
+        nonzero = [f for f, digits in enumerate(x) if any(digits)]
+        assert kept == sum(1 << (offsets[f] + fields[f] * w) for f in nonzero)
+        assert bin(kept).count("1") == len(nonzero)
+        total = [[(a + b) % p for a, b in zip(u, v)] for u, v in zip(x, y)]
+        assert gf._lane_add(pack(x), pack(y), p, w, tops, bias) == pack(total)

@@ -72,6 +72,35 @@ def test_gv_sdss_matches_recorded_output(args, stdout, sha256, tmp_path, capsys,
     assert _sha256(out) == sha256
 
 
+# `mrlrc construct --method concat` with Reed-Solomon inner codes over
+# F_3 and F_4: (arguments, stdout, SHA-256 of the code and system files)
+CONCAT_RS = [
+    (["--p", "3", "--r", "4", "--h", "2", "--delta", "1", "--n", "4",
+      "--inner", "rs:4:3"],
+     ["N=16 r=4 h=2 delta=1 ell=3^6 method=concat certified=1",
+      "# tower p=3 a=1 m=6 ext_poly=2,1,0,0,0,0,1"],
+     ("de338dd9fdd56b9939969871ad0af742d7007f4cceed61d2e69451a56d5d1aed",
+      "67309b32d27bef58c0f6d1894bad444e124e2aa3995abb82fe1074713c498b54")),
+    (["--p", "2", "--a", "2", "--r", "5", "--h", "2", "--delta", "1", "--n", "4",
+      "--inner", "rs:5:3"],
+     ["N=20 r=5 h=2 delta=1 ell=4^6 method=concat certified=1",
+      "# tower p=2 a=2 m=6 base_poly=1,1,1 ext_poly=2,1,1,0,0,0,1"],
+     ("49622c491b3ccdca8284c4b3ee14ca8f5a9cfa8feefd164430b6766bbc443e93",
+      "93c873f0e0ed42a194dd074a04be643bfde0d6ba4dd2fdeb3d159e3216bfc340")),
+]
+
+
+@pytest.mark.parametrize("args,stdout,sha256", CONCAT_RS,
+                         ids=[a[-1] for a, _, _ in CONCAT_RS])
+def test_concat_rs_matches_recorded_output(args, stdout, sha256, tmp_path, capsys,
+                                           monkeypatch):
+    monkeypatch.delenv("MRLRC_BUDGET", raising=False)
+    out = tmp_path / "rs.mr"
+    assert main(["construct", *args, "--method", "concat", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == stdout
+    assert (_sha256(out), _sha256(Path(f"{out}.sdss"))) == sha256
+
+
 def _construct(label: str, tmp_path: Path) -> Path:
     cmd = next(c for c in CONSTRUCT if c["label"] == label)
     out = tmp_path / f"{label}.mr"

@@ -284,6 +284,16 @@ def test_subfield_construct_keeps_the_rs_self_test_in_the_budget():
     assert S.certified and S.certified_sample is not None
 
 
+@pytest.mark.parametrize("budget", range(1, 10))
+def test_sampled_certification_stays_within_the_cap(budget):
+    # C(5, 2) = 10 subsets over a cap below 10: every ceil(10 / cap)-th
+    # subset, never more than the cap (a step of 10 // 9 = 1 would
+    # check all 10 and call them a sample)
+    S = mds_construct(make_tower(2, 1, 4), 5, 2, 2, budget=budget)
+    assert S.certified
+    assert S.certified_sample == len(range(0, 10, -(-10 // budget))) <= budget
+
+
 @pytest.mark.parametrize("p, a, u, r, expected", [
     (2, 1, 2, 1, [1]),
     (2, 1, 2, 2, [1, 2]),
