@@ -7,15 +7,17 @@ h x r Moore blocks D_i whose first rows span the subspaces of a
 certified direct sum system.  Verification re-proves maximal
 recoverability by enumerating every erasure pattern (delta positions
 per group plus h more anywhere); exhaustive and sampled checks are one
-strided walk (_blocks).  With the local block MDS, each group's delta
+strided walk (_blocks) over blocks, the patterns that share their
+per-group delta-subsets.  With the local block MDS, each group's delta
 positions carry its local pivots, so a pattern costs one check that its
 h extras, reduced against them, are independent (verify_mr); the
 structured verifier reaches the same verdict with one such check per
 erased support, on the same reduced columns (_reduced_columns).  For
 h <= 2 a check compares the columns' projective keys, derived once per
-table; for h >= 3 it is one h x h rank computation.  Every rank
-computation, determinant and subset check goes through the shared
-kernel in linalg.
+table, and the walk decides a block whole from its tables' key sets,
+walking pattern by pattern only the blocks that test leaves open; for
+h >= 3 a check is one h x h rank computation.  Every rank computation,
+determinant and subset check goes through the shared kernel in linalg.
 
 The erasure codec decodes an erased set densely the first time it sees
 it and from a cached decode plan when the set comes back, with the
@@ -297,26 +299,33 @@ def _subsets(r: int, delta: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(r), delta))
 
 
-def _block(spec: MrCodeSpec, block: int):
-    """Per-group delta-subsets of the block-th block (a block holds the
-    patterns that share them; first group slowest) and the positions
-    left for the extras."""
-    n, r = spec.n, spec.r
+def _ranks(spec: MrCodeSpec, block: int) -> list[int]:
+    """Index in _subsets(r, delta) of each group's delta-subset in the
+    block-th block (a block holds the patterns that share them; first
+    group slowest)."""
+    count = comb(spec.r, spec.delta)
+    ranks = [0] * spec.n
+    for i in reversed(range(spec.n)):
+        block, ranks[i] = divmod(block, count)
+    return ranks
+
+
+def _block(spec: MrCodeSpec, ranks):
+    """Per-group delta-subsets (absolute positions) of the block with the
+    given subset indices, and the positions left for the extras."""
+    r = spec.r
     subsets = _subsets(r, spec.delta)
-    count = len(subsets)
-    pg = [()] * n
-    for i in reversed(range(n)):
-        block, rk = divmod(block, count)
-        pg[i] = tuple(i * r + j for j in subsets[rk])
+    pg = tuple(tuple(i * r + j for j in subsets[rk]) for i, rk in enumerate(ranks))
     taken = {c for g in pg for c in g}
-    return tuple(pg), [c for c in range(spec.N) if c not in taken]
+    return pg, [c for c in range(spec.N) if c not in taken]
 
 
 def _blocks(spec: MrCodeSpec, step: int):
     """The blocks holding a pattern at index 0, step, 2*step, ...: per
-    block its per-group subsets and an iterator over the extras of its
-    sampled patterns, read off their indices by one strided combination
-    walk (linalg._strided_combinations)."""
+    block its subset indices (_ranks), the extras index of its first
+    sampled pattern and how many of its patterns are sampled.  Nothing
+    of a block is unranked here; _extras does that for the blocks whose
+    patterns are wanted one by one."""
     if step < 1:
         raise ParameterError("pattern step must be positive")
     extras_total = comb(spec.N - spec.n * spec.delta, spec.h)
@@ -324,9 +333,17 @@ def _blocks(spec: MrCodeSpec, step: int):
     index = 0
     while index < total:
         block, first = divmod(index, extras_total)
-        pg, rest = _block(spec, block)
-        yield pg, _strided_combinations(rest, spec.h, step, first)
-        index += step * len(range(first, extras_total, step))
+        count = len(range(first, extras_total, step))
+        yield _ranks(spec, block), first, count
+        index += step * count
+
+
+def _extras(spec: MrCodeSpec, ranks, first: int, step: int):
+    """Per-group subsets of a block and an iterator over the extras of its
+    sampled patterns, read off their indices by one strided combination
+    walk (linalg._strided_combinations)."""
+    pg, rest = _block(spec, ranks)
+    return pg, _strided_combinations(rest, spec.h, step, first)
 
 
 def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
@@ -336,7 +353,8 @@ def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
     positions.  Step 1 is every pattern.  Each block of patterns sharing
     their per-group subsets is decoded once, and blocks holding no
     sampled index are skipped (_blocks, which verify_mr walks itself)."""
-    for pg, extras in _blocks(spec, step):
+    for ranks, first, _ in _blocks(spec, step):
+        pg, extras = _extras(spec, ranks, first, step)
         for extra in extras:
             yield ErasurePattern(per_group=pg, extra=extra)
 
@@ -348,7 +366,7 @@ def pattern_at(spec: MrCodeSpec, index: int) -> ErasurePattern:
     if not 0 <= index < pattern_count(spec):
         raise ParameterError("pattern index out of range")
     block, e = divmod(index, extras_total)
-    pg, rest = _block(spec, block)
+    pg, rest = _block(spec, _ranks(spec, block))
     extra = tuple(rest[j] for j in _unrank_combination(len(rest), spec.h, e))
     return ErasurePattern(per_group=pg, extra=extra)
 
@@ -435,6 +453,29 @@ def _column_check(F, h: int):
     return (lambda cols: cols), (lambda cols: _rank_rows(F, cols) == h)
 
 
+def _key_set(keys: dict, h: int):
+    """What deciding a whole block needs of one table of projective keys
+    (h <= 2): None when some key is undefined or, for h = 2, two keys are
+    equal; else the keys a column of another group must not share, which
+    for h = 1 are none (one extra never meets a second column)."""
+    found = set(keys.values())
+    if None in found or (h == 2 and len(found) < len(keys)):
+        return None
+    return found if h == 2 else set()
+
+
+def _block_clean(key_sets: list) -> bool:
+    """True when every table of a block has a key set (_key_set) and the
+    sets are pairwise disjoint: then any h <= 2 extras of the block have
+    defined, pairwise distinct keys, so no pattern of it is dependent."""
+    if None in key_sets:
+        return False
+    return len(set().union(*key_sets)) == sum(map(len, key_sets))
+
+
+_UNBUILT = object()
+
+
 def verify_mr(P: MrParityCheck, budget: int | None = None,
               sample: int | None = None) -> VerifyReport:
     """Check the two parity-check conditions by enumeration.
@@ -448,9 +489,15 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     With A MDS, the delta columns S_g a pattern erases in group g carry
     the group's local pivots, so (b) holds iff the h extras, reduced
     against them (_reduced_columns, one table per group and subset),
-    have rank h.  That is one check per pattern: for h <= 2 a
-    comparison of the extras' projective keys, derived once per table;
-    for h >= 3 one h x h rank computation.
+    have rank h.  For h <= 2 that is a comparison of the extras'
+    projective keys, derived once per table, and a block (the patterns
+    sharing their per-group subsets) is decided whole: when its tables
+    hold no undefined key, no equal keys within a table and no key in
+    two groups (_block_clean), all its sampled patterns pass and are
+    counted without being unranked.  Only the other blocks, and every
+    block for h >= 3, are walked pattern by pattern, one check each (an
+    h x h rank computation for h >= 3), so the counts, the first failure
+    and the verdict are those of a walk over every sampled pattern.
     """
     t0 = perf_counter()
     spec = P.spec
@@ -465,18 +512,30 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     if sample is not None and sample < 1:
         raise ParameterError("sample size must be positive")
     step = 1 if sample is None else max(1, total // sample)
-    to_table, check = _column_check(spec.tower.field("top"), spec.h)
-    r = spec.r
-    tables = {}
+    h, r = spec.h, spec.r
+    to_table, check = _column_check(spec.tower.field("top"), h)
+    subsets = _subsets(r, spec.delta)
+    # per group and subset index: the table, built on first use, and its
+    # key set (None for h >= 3)
+    tables = [[None] * len(subsets) for _ in range(spec.n)]
+    key_sets = [[_UNBUILT] * len(subsets) for _ in range(spec.n)]
     checked = 0
     failure = None
-    for pg, extras in _blocks(spec, step):
+    for ranks, first, count in _blocks(spec, step):
+        keys = [row[rk] for row, rk in zip(key_sets, ranks)]
+        if _UNBUILT in keys:
+            for g, rk in enumerate(ranks):
+                if tables[g][rk] is None:
+                    S = tuple(g * r + j for j in subsets[rk])
+                    table = tables[g][rk] = to_table(_reduced_columns(P, g, S))
+                    key_sets[g][rk] = _key_set(table, h) if h <= 2 else None
+            keys = [row[rk] for row, rk in zip(key_sets, ranks)]
+        if _block_clean(keys):
+            checked += count
+            continue
+        pg, extras = _extras(spec, ranks, first, step)
         # each extra is looked up in the table of its own group
-        by_group = []
-        for g, S in enumerate(pg):
-            if S not in tables:
-                tables[S] = to_table(_reduced_columns(P, g, S))
-            by_group.append(tables[S])
+        by_group = [row[rk] for row, rk in zip(tables, ranks)]
         for extra in extras:
             checked += 1
             if not check([by_group[c // r][c] for c in extra]):
@@ -518,8 +577,10 @@ def verify_mr_structured(P: MrParityCheck,
     projective keys for h <= 2 and is one h x h rank computation for
     h >= 3, and `checks` counts one per support.  Gates, budget and the
     success report are those of verify_mr, plus `checks`; when a check
-    fails the dense walk locates the first counterexample and its
-    report is returned.
+    fails the dense walk (verify_mr, which for h <= 2 decides the blocks
+    that pass its key-set test whole and walks only the others) locates
+    the first counterexample and its report is returned, its `checks`
+    counting the supports checked plus the patterns the walk decided.
     """
     t0 = perf_counter()
     spec = P.spec
