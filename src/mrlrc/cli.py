@@ -120,6 +120,8 @@ def _sdss_builder(args, s_dim: int, h: int, n: int):
     """Check the parameters of the requested system and size its tower;
     returns the step that builds it at subspace dimension s_dim."""
     q_args = (args.p, args.a)
+    q = base_size(*q_args)  # a bad p or a is named before a bad n, r or h
+    sdss.check_parameters(n, s_dim, h)
     budget = args.budget
     if args.sdss == "mds":
         m = args.m if args.m is not None else h * s_dim
@@ -131,7 +133,7 @@ def _sdss_builder(args, s_dim: int, h: int, n: int):
         return lambda: sdss.restrict(
             sdss.mds_construct(t, h + 1, s_dim, h, budget), n, budget)
     if args.sdss == "gv":
-        need = sdss.gv_dimension(base_size(*q_args), n, s_dim, h)
+        need = sdss.gv_dimension(q, n, s_dim, h)
         t = make_tower(*q_args, args.m if args.m is not None else need)
         return lambda: sdss.gv_greedy(t, n, s_dim, h, budget)
     t = make_tower(*q_args)

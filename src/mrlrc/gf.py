@@ -6,9 +6,9 @@ the constant term first; a top-level element (F_{q^m}) encodes its
 coefficient vector over F_q in base q the same way.  The defining
 polynomials are the monic irreducibles of the required degree with the
 smallest integer encoding of their coefficient vector, found by
-ascending exhaustive search (roots, then trial division by low-degree
-monic polynomials), so two towers built from the same (p, a, m) are
-identical and every code is reproducible across runs.
+ascending exhaustive search (trial division by every monic polynomial
+of degree 1 up to half the degree), so two towers built from the same
+(p, a, m) are identical and every code is reproducible across runs.
 
 Levels are addressed by name: ``"prime"`` (F_p), ``"mid"`` (F_q),
 ``"top"`` (F_{q^m}).  Every level is one `Field`, an extension
@@ -21,9 +21,8 @@ included, build log/exp tables the first time `mul`, `inv`, `pow` or
 `tables` is called on them and then multiply on them; odd-characteristic
 fields then also add, subtract and negate on a table of Zech logarithms,
 but `add`, `sub` and `neg` never build the tables themselves.
-`FieldTower.frobenius` never builds tables of the top field: x -> x^q
-is F_p-linear on the base-p digits of x's code, so it sums the images of
-the a*m basis elements, computed once by generic products.
+`FieldTower.frobenius` never builds tables of the top field: it raises
+x to q^i by square-and-multiply on generic products (`_pow_raw`).
 
 The tables come from one walk over the powers of a generator g.
 Multiplying by g is F_p-linear on the base-p digits of a code, so a
@@ -50,19 +49,6 @@ from . import config
 from .errors import FormatError, ParameterError
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending (n fits desk scale)."""
     out = []
@@ -76,6 +62,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 class _PrimeOps:
@@ -210,9 +200,9 @@ class Field:
     and `_zech` last, because `mul`, `inv`, `pow` and `tables` test
     `_exp`, and `add`, `sub` and `neg` test `_zech`, before they read
     the others.  `_mul_raw` serves fields above the cap, the generator
-    search and the images of the half-digit codes.  Above the cap an
-    extension of F_2 inverts by the extended Euclidean algorithm
-    (`_inv_binary`), any other by x^(size-2).
+    search, the images of the half-digit codes and `FieldTower.frobenius`.
+    Above the cap an extension of F_2 inverts by the extended Euclidean
+    algorithm (`_inv_binary`), any other by x^(size-2).
     """
 
     __slots__ = (
@@ -353,12 +343,15 @@ class Field:
         return g1
 
     def _pow_raw(self, x, e):
-        acc = 1
-        while e:
-            if e & 1:
+        """x^e by square-and-multiply from the top bit of e down:
+        e.bit_length() - 1 squarings and one product per further set bit."""
+        if not e:
+            return 1
+        acc = x
+        for bit in bin(e)[3:]:
+            acc = self._mul_raw(acc, acc)
+            if bit == "1":
                 acc = self._mul_raw(acc, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
         return acc
 
     def _has_full_order(self, x, factors):
@@ -493,13 +486,6 @@ class Field:
 # -- polynomial helpers for the irreducibility search -----------------
 
 
-def _poly_eval(ops, poly, x):
-    acc = 0
-    for c in reversed(poly):
-        acc = ops.add(ops.mul(acc, x), c)
-    return acc
-
-
 def _poly_rem(ops, num, den):
     """Remainder of num modulo a monic den (coefficient lists)."""
     work = list(num)
@@ -523,20 +509,16 @@ def _rem_gf2(num: int, den: int, den_deg: int) -> int:
 
 
 def _is_irreducible(ops, poly) -> bool:
+    """True iff no monic polynomial of degree 1 to deg/2 divides poly."""
     deg = len(poly) - 1
-    if deg == 1:
-        return True
-    for x in range(ops.size):
-        if _poly_eval(ops, poly, x) == 0:
-            return False
     if ops.size == 2:
         num = sum(c << i for i, c in enumerate(poly))
-        for e in range(2, deg // 2 + 1):
+        for e in range(1, deg // 2 + 1):
             for low in range(1 << e):
                 if _rem_gf2(num, low | (1 << e), e) == 0:
                     return False
         return True
-    for e in range(2, deg // 2 + 1):
+    for e in range(1, deg // 2 + 1):
         for low in range(ops.size**e):
             den = _digits(low, ops.size, e) + [1]
             if not any(_poly_rem(ops, poly, den)):
@@ -584,7 +566,7 @@ class FieldTower:
     it is.
     """
 
-    __slots__ = ("p", "a", "m", "q", "base_poly", "ext_poly", "_levels", "_frob")
+    __slots__ = ("p", "a", "m", "q", "base_poly", "ext_poly", "_levels")
 
     def __init__(self, p: int, a: int, m: int):
         q = base_size(p, a)
@@ -613,7 +595,6 @@ class FieldTower:
             self.ext_poly = _min_irreducible(digits, m)
             top = Field(digits, self.ext_poly)
         self._levels = {"prime": prime, "mid": mid, "top": top}
-        self._frob = None
 
     # -- level views ---------------------------------------------------
     def field(self, level: str) -> Field:
@@ -626,66 +607,17 @@ class FieldTower:
         return self.field(level).size
 
     # -- top-level structure over F_q -----------------------------------
-    def _frobenius_images(self):
-        """(w, images): images[k] is the q-th power of the top element
-        with code p^k, for k < a*m.  With y the top generator and Y_j =
-        (y^j)^q, the element p^(j*a + i) is beta_i * y^j for the mid
-        element beta_i = p^i, fixed by x -> x^q, so its image is
-        beta_i * Y_j.  In characteristic 2 an image is its code (w = 1);
-        otherwise its base-p digits, one per w-bit lane (`_lanes`), wide
-        enough to hold a sum of a*m digit products unreduced.  All
-        products are `_mul_raw`; published in one assignment."""
-        top = self.field("top")
-        p, a, n = self.p, self.a, self.a * self.m
-        ys = [1, top._pow_raw(self.q, self.q)]
-        while len(ys) < self.m:
-            ys.append(top._mul_raw(ys[-1], ys[1]))
-        images = [y if i == 0 else top._mul_raw(p**i, y) for y in ys for i in range(a)]
-        w = 1 if p == 2 else (n * (p - 1) ** 2).bit_length()
-        if p != 2:
-            images = [_lanes(z, p, w) for z in images]
-        self._frob = frob = (w, tuple(images))
-        return frob
-
     def frobenius(self, x: int, i: int = 1) -> int:
         """x^(q^i) in the top field; i = 0 is the identity.
 
-        Builds no tables of the top field: i mod m applications of the
-        F_q-linear map x -> x^q (Lidl-Niederreiter, Finite Fields, ch. 2),
-        each the sum of the images of x's base-p digits
-        (`_frobenius_images`): an XOR of images over x's set bits in
-        characteristic 2, else a lane-wise sum reduced mod p per digit.
+        The automorphism x -> x^q of F_{q^m} over F_q has order m
+        (Lidl-Niederreiter, Finite Fields, ch. 2), so this is one
+        `_pow_raw` to q^(i mod m): generic products only, no tables of
+        the top field.
         """
         if i < 0:
             raise ParameterError("frobenius power must be >= 0")
-        i %= self.m
-        if not i or not x:
-            return x
-        w, images = self._frob or self._frobenius_images()
-        p = self.p
-        if p == 2:
-            for _ in range(i):
-                y = k = 0
-                while x:
-                    if x & 1:
-                        y ^= images[k]
-                    x >>= 1
-                    k += 1
-                x = y
-            return x
-        mask = (1 << w) - 1
-        shifts = range(w * (len(images) - 1), -1, -w)
-        for _ in range(i):
-            acc = k = y = 0
-            while x:
-                x, d = divmod(x, p)
-                if d:
-                    acc += d * images[k]
-                k += 1
-            for s in shifts:
-                y = y * p + ((acc >> s) & mask) % p
-            x = y
-        return x
+        return self.field("top")._pow_raw(x, self.q ** (i % self.m))
 
     def fq_basis(self) -> list[int]:
         """The polynomial basis 1, y, ..., y^(m-1) as top-level codes."""

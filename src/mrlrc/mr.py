@@ -84,7 +84,11 @@ class MrCodeSpec(FrozenRecord):
 
 
 class MrParityCheck:
-    """Assembled (n*delta + h) x N parity check over the top field."""
+    """Assembled (n*delta + h) x N parity check over the top field.
+
+    check=True re-derives each block of D from its first row and refuses
+    one that is not Moore; the builders, whose blocks come from
+    `moore_matrix`, and `fileio.parse_mr` pass check=False."""
 
     def __init__(self, spec: MrCodeSpec, A: FieldMatrix, D: list[FieldMatrix],
                  check: bool = True):
@@ -220,7 +224,7 @@ def build_direct(spec: MrCodeSpec, S: SubspaceSystem) -> MrParityCheck:
     for group in S.basis:
         alphas = [t.vec_to_top(v) for v in group]
         D.append(moore_matrix(t, alphas, spec.h))
-    return MrParityCheck(spec, A, D)
+    return MrParityCheck(spec, A, D, check=False)
 
 
 def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix,
@@ -269,7 +273,7 @@ def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix,
         G = FieldMatrix.from_rows(t, "mid", group)
         alphas = [t.vec_to_top(vec_mat(col, G)) for col in cols]
         D.append(moore_matrix(t, alphas, spec.h))
-    return MrParityCheck(spec, A, D)
+    return MrParityCheck(spec, A, D, check=False)
 
 
 # -- erasure patterns ---------------------------------------------------

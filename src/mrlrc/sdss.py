@@ -24,6 +24,15 @@ from .linalg import (
 from .record import FrozenRecord
 
 
+def check_parameters(n: int, r: int, h: int) -> None:
+    """Refuse (n, r, h) for which no system of n subspaces of dimension
+    r with every h of them summing directly can exist."""
+    if n < 1 or r < 1 or h < 1:
+        raise ParameterError("need n, r, h >= 1")
+    if h > n:
+        raise ParameterError("h cannot exceed the number of subspaces")
+
+
 class SubspaceSystem:
     """n groups of r basis vectors in F_q^m (coordinates over F_q).
 
@@ -35,10 +44,7 @@ class SubspaceSystem:
 
     def __init__(self, tower: FieldTower, n: int, r: int, h: int, basis,
                  certified: bool = False, certified_sample: int | None = None):
-        if n < 1 or r < 1 or h < 1:
-            raise ParameterError("need n, r, h >= 1")
-        if h > n:
-            raise ParameterError("h cannot exceed the number of subspaces")
+        check_parameters(n, r, h)
         basis = [[tuple(v) for v in group] for group in basis]
         if len(basis) != n or any(len(g) != r for g in basis):
             raise ParameterError("basis must hold n groups of r vectors")
@@ -135,10 +141,7 @@ def _ceil_log(q: int, s: int) -> int:
 def gv_dimension(q: int, n: int, r: int, h: int) -> int:
     """Smallest ambient dimension the greedy counting argument certifies:
     r + floor(log_q sum_{i<h} C(n-1,i) (q^r-1)^i), in exact integers."""
-    if n < 1 or r < 1 or h < 1:
-        raise ParameterError("need n, r, h >= 1")
-    if h > n:
-        raise ParameterError("h cannot exceed the number of subspaces")
+    check_parameters(n, r, h)
     if q < 2:
         raise ParameterError(f"field size q={q} is below 2")
     total = sum(comb(n - 1, i) * (q**r - 1) ** i for i in range(h))

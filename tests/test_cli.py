@@ -245,6 +245,18 @@ def test_huge_field_parameters_exit_2_at_once(tmp_path, capsys, argv, message):
      "need n, r, h >= 1"),
     (["bounds", "--p", "2", "--n", "5", "--r", "3", "--h", "9"],
      "h cannot exceed the number of subspaces"),
+    (["sdss", "--p", "2", "--r", "3", "--h", "0", "--n", "5", "--sdss", "mds"],
+     "need n, r, h >= 1"),
+    (["sdss", "--p", "2", "--r", "0", "--h", "2", "--n", "5", "--sdss", "mds"],
+     "need n, r, h >= 1"),
+    (["sdss", "--p", "2", "--r", "3", "--h", "2", "--n", "0", "--sdss", "mds"],
+     "need n, r, h >= 1"),
+    (["construct", "--p", "2", "--r", "3", "--h", "3", "--delta", "1", "--n", "2",
+      "--sdss", "mds"], "h cannot exceed the number of subspaces"),
+    (["sdss", "--p", "2", "--r", "3", "--h", "3", "--n", "2", "--sdss", "mds"],
+     "h cannot exceed the number of subspaces"),
+    (["sdss", "--p", "2", "--r", "3", "--h", "3", "--n", "2", "--sdss", "subfield",
+      "--u", "1"], "h cannot exceed the number of subspaces"),
 ])
 def test_bad_system_parameters_exit_2(tmp_path, capsys, argv, message):
     if argv[0] != "bounds":

@@ -220,6 +220,105 @@ def test_frobenius_builds_no_top_tables(p, a, m):
     assert t.field("top")._exp is None and t.field("top")._zech is None
 
 
+def test_frobenius_on_an_odd_tower_above_the_table_cap():
+    t = FieldTower(3, 1, 15)
+    F = t.field("top")
+    assert F.size > gf.config.TABLE_CAP
+    rng = random.Random(315)
+    for _ in range(30):
+        x, y = rng.randrange(F.size), rng.randrange(F.size)
+        assert t.frobenius(F.add(x, y)) == F.add(t.frobenius(x), t.frobenius(y))
+        assert t.frobenius(F._mul_raw(x, y)) == F._mul_raw(t.frobenius(x), t.frobenius(y))
+    # the element with code q is a root of the modulus and generates the
+    # top field over F_q, so its orbit has m distinct elements
+    orbit = [t.q]
+    for _ in range(t.m):
+        orbit.append(t.frobenius(orbit[-1]))
+    assert orbit[-1] == orbit[0] and len(set(orbit)) == t.m
+    assert F._exp is None and F._zech is None
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
+def test_pow_raw_matches_repeated_products(monkeypatch, p, a, m):
+    F = FieldTower(p, a, m).field("top")
+    exps = (0, 1, 2, 3, p**a, F.size - 2, F.size - 1, F.size)
+    for x in F.elements():
+        powers = [1]
+        for _ in range(F.size):
+            powers.append(F._mul_raw(powers[-1], x))
+        for e in exps:
+            assert F._pow_raw(x, e) == powers[e], (x, e)
+    # from the top bit of e down: one squaring per further bit and one
+    # product per further set bit, nothing else
+    calls = []
+    product = gf.Field._mul_raw
+
+    def counted(self, x, y):
+        if self is F:
+            calls.append(None)
+        return product(self, x, y)
+
+    monkeypatch.setattr(gf.Field, "_mul_raw", counted)
+    for e in exps[1:]:
+        calls.clear()
+        F._pow_raw(F.size - 1, e)
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+
+
+def _monic(size, degree):
+    """Every monic polynomial of the degree over 0..size-1, in code order."""
+    return [tuple(gf._digits(low, size, degree)) + (1,) for low in range(size**degree)]
+
+
+def _brute_irreducibles(ops, degree):
+    """Oracle: the monic polynomials of the degree that are no product of
+    two monic polynomials of lower degree, in code order."""
+    reducible = set()
+    for i in range(1, degree // 2 + 1):
+        for f in _monic(ops.size, i):
+            for g in _monic(ops.size, degree - i):
+                prod = [0] * (degree + 1)
+                for j, fj in enumerate(f):
+                    for k, gk in enumerate(g):
+                        prod[j + k] = ops.add(prod[j + k], ops.mul(fj, gk))
+                reducible.add(tuple(prod))
+    return [f for f in _monic(ops.size, degree) if f not in reducible]
+
+
+@pytest.mark.parametrize("ops,degrees", [
+    (gf._PrimeOps(2), range(1, 9)),
+    (gf._PrimeOps(3), range(1, 6)),
+    (gf._PrimeOps(5), range(1, 5)),
+    (FieldTower(2, 2, 1).field("mid"), range(1, 5)),
+], ids=["2", "3", "5", "4"])
+def test_irreducibility_search_matches_brute_force(ops, degrees):
+    for degree in degrees:
+        irreducibles = _brute_irreducibles(ops, degree)
+        assert gf._min_irreducible(ops, degree) == irreducibles[0]
+        assert [f for f in _monic(ops.size, degree)
+                if gf._is_irreducible(ops, list(f))] == irreducibles
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+    assert [n for n in range(-3, limit) if gf._is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+    # a window around 2^24, sieved by the primes up to its square root
+    lo, hi = 2**24 - 3000, 2**24 + 3000
+    window = bytearray([1]) * (hi - lo)
+    for d in range(2, 4100):
+        if sieve[d]:
+            start = -(-lo // d) * d
+            window[start - lo::d] = bytes(len(range(start, hi, d)))
+    assert [n for n in range(lo, hi) if gf._is_prime(n)] == \
+        [n for n in range(lo, hi) if window[n - lo]]
+
+
 def test_fq_basis():
     assert make_tower(2, 1, 2).fq_basis() == [1, 2]
     assert make_tower(3, 1, 1).fq_basis() == [1]
@@ -392,7 +491,7 @@ def test_chunked_walk_matches_on_3_10():
 
 
 # _mul_raw calls _find_generator makes on a fresh 3^10 field (generator 34)
-GENERATOR_PRODUCTS_3_10 = 817
+GENERATOR_PRODUCTS_3_10 = 745
 
 
 def test_table_build_makes_no_product_per_element(monkeypatch):

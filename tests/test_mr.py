@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from mrlrc import mr
 from mrlrc.codes import bch_parity_check, rs_parity_check
 from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
@@ -287,6 +288,28 @@ def test_build_concatenated_matches_top_field_combinations(case):
     for group, D in zip(S.basis, P.D):
         alphas = [t.vec_to_top(v) for v in group]
         assert D == moore_matrix(t, vec_mat(alphas, inner_top), spec.h)
+
+
+def _direct_p3():
+    t = make_tower(3, 1, 6)
+    return MrCodeSpec(n=4, r=3, h=2, delta=1, tower=t), mds_construct(t, 4, 3, 2)
+
+
+@pytest.mark.parametrize("build,case", [(build_direct, _direct_p3),
+                                        (build_concatenated, _concat_rs_p3)])
+def test_builders_make_one_moore_block_per_group(monkeypatch, build, case):
+    # the blocks are Moore by construction, so no builder re-derives them
+    calls = []
+    moore = mr.moore_matrix
+
+    def counted(t, alphas, h):
+        calls.append(None)
+        return moore(t, alphas, h)
+
+    monkeypatch.setattr(mr, "moore_matrix", counted)
+    spec, *args = case()
+    build(spec, *args)
+    assert len(calls) == spec.n
 
 
 # -- patterns ------------------------------------------------------------------
