@@ -12,11 +12,13 @@ per-group delta-subsets.  With the local block MDS, each group's delta
 positions carry its local pivots, so a pattern costs one check that its
 h extras, reduced against them, are independent (verify_mr); the
 structured verifier reaches the same verdict with one such check per
-erased support, on the same reduced columns (_reduced_columns).  For
-h <= 2 a check compares the columns' projective keys, derived once per
-table, and the walk decides a block whole from its tables' key sets,
-walking pattern by pattern only the blocks that test leaves open; for
-h >= 3 a check is one h x h rank computation.  Every rank computation,
+erased support.  Both verifiers pass one gate (_gate) and read one
+store (_tables): every table of reduced columns (_reduced_columns),
+derived once per parity check, and one check (_independent) decides
+them.  For h <= 2 a check compares the columns' projective keys, and
+the walk decides a block whole from its tables' key sets, walking
+pattern by pattern only the blocks that test leaves open; for h >= 3 a
+check is one h x h rank computation.  Every rank computation,
 determinant and subset check goes through the shared kernel in linalg.
 
 The erasure codec decodes an erased set densely the first time it sees
@@ -108,6 +110,7 @@ class MrParityCheck:
         self.D = list(D)
         self.H = _assemble(spec, A, D)
         self._plans = _PlanCache()
+        self._tables = None  # the verifiers' reduced columns (_tables)
 
     def __repr__(self):
         s = self.spec
@@ -328,8 +331,8 @@ def _blocks(spec: MrCodeSpec, step: int):
     """The blocks holding a pattern at index 0, step, 2*step, ...: per
     block its subset indices (_ranks), the extras index of its first
     sampled pattern and how many of its patterns are sampled.  Nothing
-    of a block is unranked here; _extras does that for the blocks whose
-    patterns are wanted one by one."""
+    of a block is unranked here; _block and _strided_combinations do
+    that for the blocks whose patterns are wanted one by one."""
     if step < 1:
         raise ParameterError("pattern step must be positive")
     extras_total = comb(spec.N - spec.n * spec.delta, spec.h)
@@ -342,14 +345,6 @@ def _blocks(spec: MrCodeSpec, step: int):
         index += step * count
 
 
-def _extras(spec: MrCodeSpec, ranks, first: int, step: int):
-    """Per-group subsets of a block and an iterator over the extras of its
-    sampled patterns, read off their indices by one strided combination
-    walk (linalg._strided_combinations)."""
-    pg, rest = _block(spec, ranks)
-    return pg, _strided_combinations(rest, spec.h, step, first)
-
-
 def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
     """The maximal erasure patterns at indices 0, step, 2*step, ... of
     the lexicographic order: per-group delta-subsets vary combinadically
@@ -358,8 +353,8 @@ def enumerate_patterns(spec: MrCodeSpec, step: int = 1):
     their per-group subsets is decoded once, and blocks holding no
     sampled index are skipped (_blocks, which verify_mr walks itself)."""
     for ranks, first, _ in _blocks(spec, step):
-        pg, extras = _extras(spec, ranks, first, step)
-        for extra in extras:
+        pg, rest = _block(spec, ranks)
+        for extra in _strided_combinations(rest, spec.h, step, first):
             yield ErasurePattern(per_group=pg, extra=extra)
 
 
@@ -446,15 +441,13 @@ def _keys_independent(keys) -> bool:
     return None not in keys and len(set(keys)) == len(keys)
 
 
-def _column_check(F, h: int):
-    """(table map, check) for checking h reduced columns at a time:
-    for h <= 2 each table holds the columns' projective keys and a
-    check compares them; for h >= 3 it holds the columns themselves and
-    a check is one rank computation."""
+def _independent(F, h: int):
+    """The one check of h reduced columns, given as the tables hold them
+    (_tables): for h <= 2 it compares their projective keys
+    (_keys_independent); for h >= 3 it is one h x h rank computation."""
     if h <= 2:
-        return ((lambda cols: {c: _projective_key(F, w) for c, w in cols.items()}),
-                _keys_independent)
-    return (lambda cols: cols), (lambda cols: _rank_rows(F, cols) == h)
+        return _keys_independent
+    return lambda cols: _rank_rows(F, cols) == h
 
 
 def _key_set(keys: dict, h: int):
@@ -477,7 +470,45 @@ def _block_clean(key_sets: list) -> bool:
     return len(set().union(*key_sets)) == sum(map(len, key_sets))
 
 
-_UNBUILT = object()
+def _tables(P: MrParityCheck):
+    """The store both verifiers read, derived whole on first use and kept
+    on P: per group g and subset index k (_subsets), the table of group
+    g's columns off its k-th delta-subset (_reduced_columns), mapping
+    each column to its projective key for h <= 2 and to w(S, c) itself
+    for h >= 3, and the table's key set (_key_set; None for h >= 3).
+    Read only past the gate, whose MDS test makes every A|_S invertible."""
+    if P._tables is None:
+        spec = P.spec
+        F, h, r = spec.tower.field("top"), spec.h, spec.r
+
+        def table(g, S):
+            cols = _reduced_columns(P, g, tuple(g * r + j for j in S))
+            return {c: _projective_key(F, w) for c, w in cols.items()} if h <= 2 else cols
+
+        tables = [[table(g, S) for S in _subsets(r, spec.delta)] for g in range(spec.n)]
+        key_sets = [[_key_set(t, h) if h <= 2 else None for t in row] for row in tables]
+        P._tables = tables, key_sets
+    return P._tables
+
+
+def _gate(P: MrParityCheck, budget: int | None, sample: int | None):
+    """The one gate of both verifiers, in this order: a sample size below
+    1 raises ParameterError, a local block that is not MDS gives the
+    failing report returned here, and an exhaustive walk over the budget
+    raises BudgetError; None when P passes.  P's tables exist only past
+    a passing MDS test, which is then not repeated."""
+    if sample is not None and sample < 1:
+        raise ParameterError("sample size must be positive")
+    spec = P.spec
+    if P._tables is None and not is_mds_parity_check(P.A, spec.delta):
+        return VerifyReport(False, 0, None, None, 0.0,
+                            reason="local parity block is not MDS")
+    total = pattern_count(spec)
+    if sample is None and total > config.subset_budget(budget):
+        raise BudgetError(
+            f"{total} erasure patterns exceed the budget; pass a sample size"
+        )
+    return None
 
 
 def verify_mr(P: MrParityCheck, budget: int | None = None,
@@ -490,59 +521,44 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
         case an evenly strided subset of at least that many patterns is
         checked and the report is labelled accordingly.
 
+    The sample size is checked first, then (a), then the budget (_gate).
     With A MDS, the delta columns S_g a pattern erases in group g carry
     the group's local pivots, so (b) holds iff the h extras, reduced
-    against them (_reduced_columns, one table per group and subset),
-    have rank h.  For h <= 2 that is a comparison of the extras'
-    projective keys, derived once per table, and a block (the patterns
-    sharing their per-group subsets) is decided whole: when its tables
-    hold no undefined key, no equal keys within a table and no key in
-    two groups (_block_clean), all its sampled patterns pass and are
-    counted without being unranked.  Only the other blocks, and every
-    block for h >= 3, are walked pattern by pattern, one check each (an
-    h x h rank computation for h >= 3), so the counts, the first failure
-    and the verdict are those of a walk over every sampled pattern.
+    against them, are independent (_independent), read off P's tables
+    (_tables, one per group and subset, shared with
+    verify_mr_structured).  For h <= 2 a check compares the extras'
+    projective keys, and a block (the patterns sharing their per-group
+    subsets) is decided whole: when its tables hold no undefined key, no
+    equal keys within a table and no key in two groups (_block_clean),
+    all its sampled patterns pass and are counted without being
+    unranked.  Only the other blocks, and every block for h >= 3, are
+    walked pattern by pattern, one check each (an h x h rank computation
+    for h >= 3), so the counts, the first failure and the verdict are
+    those of a walk over every sampled pattern.
     """
     t0 = perf_counter()
     spec = P.spec
-    if not is_mds_parity_check(P.A, spec.delta):
-        return VerifyReport(False, 0, None, None, perf_counter() - t0,
-                            reason="local parity block is not MDS")
+    report = _gate(P, budget, sample)
+    if report is not None:
+        report.elapsed = perf_counter() - t0
+        return report
     total = pattern_count(spec)
-    if sample is None and total > config.subset_budget(budget):
-        raise BudgetError(
-            f"{total} erasure patterns exceed the budget; pass a sample size"
-        )
-    if sample is not None and sample < 1:
-        raise ParameterError("sample size must be positive")
     step = 1 if sample is None else max(1, total // sample)
     h, r = spec.h, spec.r
-    to_table, check = _column_check(spec.tower.field("top"), h)
-    subsets = _subsets(r, spec.delta)
-    # per group and subset index: the table, built on first use, and its
-    # key set (None for h >= 3)
-    tables = [[None] * len(subsets) for _ in range(spec.n)]
-    key_sets = [[_UNBUILT] * len(subsets) for _ in range(spec.n)]
+    tables, key_sets = _tables(P)
+    independent = _independent(spec.tower.field("top"), h)
     checked = 0
     failure = None
     for ranks, first, count in _blocks(spec, step):
-        keys = [row[rk] for row, rk in zip(key_sets, ranks)]
-        if _UNBUILT in keys:
-            for g, rk in enumerate(ranks):
-                if tables[g][rk] is None:
-                    S = tuple(g * r + j for j in subsets[rk])
-                    table = tables[g][rk] = to_table(_reduced_columns(P, g, S))
-                    key_sets[g][rk] = _key_set(table, h) if h <= 2 else None
-            keys = [row[rk] for row, rk in zip(key_sets, ranks)]
-        if _block_clean(keys):
+        if _block_clean([row[rk] for row, rk in zip(key_sets, ranks)]):
             checked += count
             continue
-        pg, extras = _extras(spec, ranks, first, step)
+        pg, rest = _block(spec, ranks)
         # each extra is looked up in the table of its own group
         by_group = [row[rk] for row, rk in zip(tables, ranks)]
-        for extra in extras:
+        for extra in _strided_combinations(rest, h, step, first):
             checked += 1
-            if not check([by_group[c // r][c] for c in extra]):
+            if not independent([by_group[c // r][c] for c in extra]):
                 failure = ErasurePattern(per_group=pg, extra=extra)
                 break
         if failure is not None:
@@ -551,17 +567,6 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
                         None if sample is None else checked,
                         perf_counter() - t0,
                         reason="" if failure is None else "dependent erasure pattern")
-
-
-def _compositions(total: int, parts: int, cap: int):
-    """Ordered tuples of `parts` integers in 1..cap summing to `total`."""
-    if parts == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(1, min(cap, total - parts + 1) + 1):
-        for rest in _compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
 
 
 def verify_mr_structured(P: MrParityCheck,
@@ -577,46 +582,43 @@ def verify_mr_structured(P: MrParityCheck,
     these).  A maximal pattern is recoverable iff the h columns of its
     groups have rank h, so one check per support (at most h groups, a
     composition of h into parts of at most r - delta, one erased set
-    per group) covers every pattern; as in verify_mr, a check compares
-    projective keys for h <= 2 and is one h x h rank computation for
-    h >= 3, and `checks` counts one per support.  Gates, budget and the
-    success report are those of verify_mr, plus `checks`; when a check
-    fails the dense walk (verify_mr, which for h <= 2 decides the blocks
-    that pass its key-set test whole and walks only the others) locates
-    the first counterexample and its report is returned, its `checks`
-    counting the supports checked plus the patterns the walk decided.
+    per group) covers every pattern; the check is verify_mr's
+    (_independent) on the same tables (_tables), and `checks` counts one
+    per support.  Gate, budget and the success report are those of
+    verify_mr, plus `checks`; when a check fails the dense walk
+    (verify_mr, on the tables already built) locates the first
+    counterexample and its report is returned, its `checks` counting
+    the supports checked plus the patterns the walk decided.
     """
     t0 = perf_counter()
     spec = P.spec
-    total = pattern_count(spec)
-    if total > config.subset_budget(budget) or not is_mds_parity_check(
-        P.A, spec.delta
-    ):
-        return verify_mr(P, budget)  # same gate report, or BudgetError
+    report = _gate(P, budget, None)
+    if report is not None:
+        report.elapsed = perf_counter() - t0
+        return report
     n, r, h, delta = spec.n, spec.r, spec.h, spec.delta
-    to_table, check = _column_check(spec.tower.field("top"), h)
+    tables, _ = _tables(P)
+    independent = _independent(spec.tower.field("top"), h)
     max_e = min(h, r - delta)
     # per (e, group), per erased set E of delta + e positions in
-    # lexicographic order: the columns w(E[:delta], c) for c in E[delta:],
-    # or their keys
-    tables = {}
-    sets = {}
-    for e in range(1, max_e + 1):
-        for i in range(n):
-            sets[e, i] = []
-            for E in combinations(range(i * r, (i + 1) * r), delta + e):
-                S = E[:delta]
-                if S not in tables:
-                    tables[S] = to_table(_reduced_columns(P, i, S))
-                sets[e, i].append([tables[S][c] for c in E[delta:]])
+    # lexicographic order (its delta-subset S = E[:delta], then the e
+    # positions after S): the table entries of the columns in E[delta:]
+    sets = {(e, i): [[table[i * r + j] for j in tail]
+                     for S, table in zip(_subsets(r, delta), tables[i])
+                     for tail in combinations(range(S[-1] + 1, r), e)]
+            for e in range(1, max_e + 1) for i in range(n)}
     checks = 0
     for size in range(1, min(h, n) + 1):
-        for parts in _compositions(h, size, max_e):
+        # the compositions of h into `size` parts of at most max_e, in
+        # lexicographic order
+        for parts in product(range(1, max_e + 1), repeat=size):
+            if sum(parts) != h:
+                continue
             for groups in combinations(range(n), size):
                 choices = [sets[e, i] for i, e in zip(groups, parts)]
                 for cols in product(*choices):
                     checks += 1
-                    if check([c for cs in cols for c in cs]):
+                    if independent([c for cs in cols for c in cs]):
                         continue
                     report = verify_mr(P, budget)
                     if report.ok:
@@ -627,7 +629,7 @@ def verify_mr_structured(P: MrParityCheck,
                     report.checks = checks + report.patterns_checked
                     report.elapsed = perf_counter() - t0
                     return report
-    return VerifyReport(True, total, None, None, perf_counter() - t0,
+    return VerifyReport(True, pattern_count(spec), None, None, perf_counter() - t0,
                         checks=checks)
 
 
@@ -828,7 +830,8 @@ def erase_decode(P: MrParityCheck, received, erased) -> DecodeResult:
     symbol must be a field element.  When the erased columns of H are
     independent the unique fill-in is returned; when they are dependent
     the failure carries a kernel vector of those columns as a
-    certificate.
+    certificate.  With nothing erased the word itself is checked: a
+    codeword comes back as it is, any other word is inconsistent.
 
     The first sight of an erased set is decoded by erase_decode_dense.
     A set seen again among the last PLAN_CAP gets a decode plan, and
@@ -838,8 +841,6 @@ def erase_decode(P: MrParityCheck, received, erased) -> DecodeResult:
     of erase_decode_dense for every input.
     """
     received, erased = _decode_args(P, received, erased)
-    if not erased:
-        return DecodeResult(True, received, None)
     plan = P._plans.plan(P, erased)
     if plan is None:
         return _decode_dense(P, received, erased)
@@ -849,10 +850,7 @@ def erase_decode(P: MrParityCheck, received, erased) -> DecodeResult:
 def erase_decode_dense(P: MrParityCheck, received, erased) -> DecodeResult:
     """erase_decode through linalg.kernel and linalg.solve on H_E alone,
     with no plan: the reference the plan path is tested against."""
-    received, erased = _decode_args(P, received, erased)
-    if not erased:
-        return DecodeResult(True, received, None)
-    return _decode_dense(P, received, erased)
+    return _decode_dense(P, *_decode_args(P, received, erased))
 
 
 def _decode_dense(P: MrParityCheck, received: list[int],

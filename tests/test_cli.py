@@ -675,3 +675,40 @@ def test_file_errors_print_the_os_message(tmp_path, capsys):
                             "--out", str(out))
     assert (code, stdout) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+def test_verify_sample_below_one_exits_2_before_the_local_gate(tmp_path, capsys):
+    from mrlrc.linalg import FieldMatrix
+    from mrlrc.mr import MrParityCheck
+
+    out, _ = _corrupt_copy(tmp_path, capsys)
+    P = fileio.parse_mr(out.read_text())
+    A = FieldMatrix(P.A.tower, P.A.level, 1, 3, [1, 1, 0])  # column 2 is zero
+    bad = tmp_path / "non-mds.mr"
+    bad.write_text(fileio.format_mr(MrParityCheck(P.spec, A, P.D)))
+    code, stdout, _ = run(capsys, "verify", "--in", str(bad))
+    assert code == 1 and "reason: local parity block is not MDS" in stdout
+    for path in (out, bad):
+        for sample in ("0", "-3"):
+            code, stdout, err = run(capsys, "verify", "--in", str(path), "--sample", sample)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_decode_without_erasures_checks_the_word(tmp_path, capsys):
+    code_path, cw = _encoded(tmp_path, capsys, 2)
+    for word, want in ((cw, 0), ([cw[0] ^ 1] + cw[1:], 1)):
+        rx = tmp_path / "rx.txt"
+        rx.write_text(fileio.format_vector(word))
+        rec = tmp_path / "rec.txt"
+        rec.unlink(missing_ok=True)
+        code, stdout, err = run(capsys, "decode", "--in", str(code_path), str(rx),
+                                "--erasures", "", "--out", str(rec))
+        assert (code, err) == (want, "")
+        if want:
+            assert stdout.splitlines() == [
+                "UNDECODABLE", "reason: known coordinates are inconsistent"]
+            assert not rec.exists()
+        else:
+            assert stdout == "decoded erasures=0\n"
+            assert fileio.parse_vector(rec.read_text()) == cw

@@ -501,3 +501,21 @@ def test_erase_decode_inconsistent_known_values():
     rx[5] = (rx[5] + 1) % spec.ell  # corrupt a known coordinate
     res = erase_decode(P, rx, [0])
     assert not res.ok and res.certificate is None
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_erase_decode_without_erasures_checks_the_word(p):
+    spec, P = build_example(p=p, n=3)
+    G = generator_from_parity(P)
+    cw = encode(G, [1] * spec.k)
+    rx = list(cw)
+    rx[5] = (rx[5] + 1) % spec.ell
+    want = mr.DecodeResult(False, None, None, reason="known coordinates are inconsistent")
+    assert mr.erase_decode_dense(P, rx, []) == want
+    assert mr.erase_decode_dense(P, cw, []) == mr.DecodeResult(True, cw, None)
+    # first sight decodes densely, the second and third from a plan for
+    # the empty set
+    for _ in range(3):
+        assert erase_decode(P, rx, []) == want
+        assert erase_decode(P, cw, []) == mr.DecodeResult(True, cw, None)
+    assert P._plans.plan(P, []) is not None

@@ -5,6 +5,7 @@ the pattern walk, and the walk's h x h checks against the plain k x k walk
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from time import perf_counter
 
 import pytest
@@ -24,7 +25,7 @@ from mrlrc.mr import (
     verify_mr,
     verify_mr_structured,
 )
-from mrlrc.sdss import mds_construct
+from mrlrc.sdss import gv_greedy, mds_construct
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -211,3 +212,57 @@ def test_verify_mr_asserts_the_local_gate(monkeypatch):
     monkeypatch.setattr(mr, "is_mds_parity_check", lambda A, delta: True)
     with pytest.raises(AssertionError):
         verify_mr(MrParityCheck(P.spec, A, P.D))
+
+
+def closed_form_checks(n, r, h, delta):
+    """The structured checks of an OK code, counted from the parameters:
+    the sum over s <= min(h, n) of C(n, s) times the sum, over ordered
+    compositions (e_1..e_s) of h with parts at most r - delta, of the
+    product of C(r, delta + e_i).  weight[t, s] sums that product over
+    the compositions of t into s parts, one part at a time."""
+    weight = {(0, 0): 1}
+    for s in range(1, h + 1):
+        for t in range(h + 1):
+            weight[t, s] = sum(comb(r, delta + e) * weight.get((t - e, s - 1), 0)
+                               for e in range(1, min(t, r - delta) + 1))
+    return sum(comb(n, s) * weight[h, s] for s in range(1, min(h, n) + 1))
+
+
+def gv_code(n, r, h):
+    t = make_tower(2, 1, 16)
+    return build_direct(MrCodeSpec(n=n, r=r, h=h, delta=1, tower=t), gv_greedy(t, n, r, h))
+
+
+@pytest.mark.parametrize("code, known", (
+    ((2, 1, 3, 1, 1, 4), 12),
+    ((2, 1, 3, 2, 1, 5), 95),  # the README code
+    ((2, 1, 3, 3, 2, 4), None),
+    ((3, 1, 3, 2, 1, 4), None),
+    ((2, 1, 3, 4, 1, 5), 685),
+    ("gv-8-4-3", 13448),
+))
+def test_structured_checks_match_the_closed_form(code, known):
+    P = gv_code(8, 4, 3) if code == "gv-8-4-3" else base_code(*code)
+    spec = P.spec
+    report = verify_mr_structured(P, budget=pattern_count(spec))
+    want = closed_form_checks(spec.n, spec.r, spec.h, spec.delta)
+    assert report.ok and report.checks == want
+    if known is not None:
+        assert want == known
+
+
+def test_one_parity_check_derives_each_table_once(monkeypatch):
+    P = base_code(2, 1, 3, 2, 1, 5)
+    bad = MrParityCheck(P.spec, P.A, [P.D[0], P.D[0]] + P.D[2:])
+    calls = []
+    real = mr._reduced_columns
+
+    def counted(P, g, S):
+        calls.append((g, S))
+        return real(P, g, S)
+
+    monkeypatch.setattr(mr, "_reduced_columns", counted)
+    assert not verify_mr_structured(bad).ok  # the failing path walks densely
+    assert verify_mr(bad, sample=7).sampled == 8
+    spec = bad.spec
+    assert len(calls) == len(set(calls)) == spec.n * comb(spec.r, spec.delta)
