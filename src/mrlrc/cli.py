@@ -39,6 +39,21 @@ def _add_common(p):
     p.add_argument("-v", "--verbose", action="store_true")
 
 
+def _add_system_args(p, out_help):
+    """Options of a system build, shared by construct and sdss; one a
+    method never reads is refused (_sdss_builder), never ignored."""
+    _add_tower_args(p)
+    p.add_argument("--n", type=int, required=True, help="number of local groups")
+    p.add_argument("--r", type=int, required=True, help="local group size")
+    p.add_argument("--h", type=int, required=True, help="global parities")
+    p.add_argument("--sdss", choices=("gv", "mds", "subfield"), default="mds")
+    p.add_argument("--u", type=int, default=None,
+                   help="subfield construction degree (--sdss subfield only; default 1)")
+    p.add_argument("--m", type=int, default=None,
+                   help="ambient dimension for --sdss gv or mds (default: the method's value)")
+    p.add_argument("--out", required=True, help=out_help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mrlrc",
@@ -47,32 +62,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("construct", help="build an MR code (and its subspace system)")
-    _add_tower_args(c)
-    c.add_argument("--n", type=int, required=True, help="number of local groups")
-    c.add_argument("--r", type=int, required=True, help="local group size")
-    c.add_argument("--h", type=int, required=True, help="global parities")
+    _add_system_args(c, "MR parity file path")
     c.add_argument("--delta", type=int, required=True, help="local parities per group")
     c.add_argument("--method", choices=("direct", "concat"), default="direct")
-    c.add_argument("--sdss", choices=("gv", "mds", "subfield"), default="mds")
-    c.add_argument("--u", type=int, default=1, help="subfield construction degree")
-    c.add_argument("--m", type=int, default=None,
-                   help="ambient dimension override (default: the method's value)")
     c.add_argument("--inner", default=None,
-                   help="inner code for concat: bch:<r>:<delta> or rs:<r>:<s>")
-    c.add_argument("--out", required=True, help="MR parity file path")
+                   help="inner code for --method concat: bch:<r>:<delta> or rs:<r>:<s>")
     c.add_argument("--sdss-out", default=None,
                    help="subspace system file path (default: <out>.sdss)")
     _add_common(c)
 
     s = sub.add_parser("sdss", help="build a subspace direct sum system alone")
-    _add_tower_args(s)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--r", type=int, required=True)
-    s.add_argument("--h", type=int, required=True)
-    s.add_argument("--sdss", choices=("gv", "mds", "subfield"), default="mds")
-    s.add_argument("--u", type=int, default=1)
-    s.add_argument("--m", type=int, default=None)
-    s.add_argument("--out", required=True)
+    _add_system_args(s, "subspace system file path")
     _add_common(s)
 
     v = sub.add_parser("verify", help="re-verify a stored artifact by enumeration")
@@ -119,6 +119,10 @@ def _write(path: str, text: str) -> None:
 def _sdss_builder(args, s_dim: int, h: int, n: int):
     """Check the parameters of the requested system and size its tower;
     returns the step that builds it at subspace dimension s_dim."""
+    if args.u is not None and args.sdss != "subfield":
+        raise ParameterError(f"--u applies only to --sdss subfield, not {args.sdss}")
+    if args.m is not None and args.sdss == "subfield":
+        raise ParameterError("--m does not apply to --sdss subfield")
     q_args = (args.p, args.a)
     q = base_size(*q_args)  # a bad p or a is named before a bad n, r or h
     sdss.check_parameters(n, s_dim, h)
@@ -139,7 +143,7 @@ def _sdss_builder(args, s_dim: int, h: int, n: int):
     t = make_tower(*q_args)
 
     def build():
-        S = sdss.subfield_construct(t, args.u, s_dim, h, budget)
+        S = sdss.subfield_construct(t, 1 if args.u is None else args.u, s_dim, h, budget)
         if S.n < n:
             raise ParameterError(
                 f"subfield construction yields n={S.n} groups, fewer than requested {n}"
@@ -187,6 +191,8 @@ def cmd_construct(args) -> int:
     t_q = make_tower(args.p, args.a)
     inner = None
     s_dim = r
+    if args.inner is not None and args.method != "concat":
+        raise ParameterError("--inner applies only to --method concat")
     if args.method == "concat":
         if not args.inner:
             raise ParameterError("concat construction needs --inner")

@@ -215,19 +215,7 @@ def local_parity_check(t: FieldTower, r: int, delta: int) -> FieldMatrix:
 def build_direct(spec: MrCodeSpec, S: SubspaceSystem) -> MrParityCheck:
     """Moore-band construction directly on a certified system whose
     subspace dimension equals the locality r."""
-    t = spec.tower
-    if not S.certified:
-        raise ParameterError("refusing to build on an uncertified system")
-    if (S.n, S.r, S.h) != (spec.n, spec.r, spec.h):
-        raise ParameterError("system parameters do not match the code spec")
-    if S.tower != t:
-        raise ParameterError("system must live in the code's tower")
-    A = local_parity_check(t, spec.r, spec.delta)
-    D = []
-    for group in S.basis:
-        alphas = [t.vec_to_top(v) for v in group]
-        D.append(moore_matrix(t, alphas, spec.h))
-    return MrParityCheck(spec, A, D, check=False)
+    return _moore_band(spec, S, None)
 
 
 def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix,
@@ -236,46 +224,55 @@ def build_concatenated(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix,
     code: the Moore blocks run over combinations of the subspace basis
     given by the inner parity columns, so any h+delta of them stay
     F_q-independent."""
+    return _moore_band(spec, S, inner, budget)
+
+
+def _moore_band(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix | None,
+                budget: int | None = None) -> MrParityCheck:
+    """The one assembly of both builders: refuse an uncertified system
+    (checked first), a foreign tower, mismatched parameters or a weak
+    inner code, then put A on every group and, per group, the Moore
+    block of its basis vectors (inner None) or of their combinations by
+    the inner parity columns."""
     t = spec.tower
     if not S.certified:
         raise ParameterError("refusing to build on an uncertified system")
     if S.tower != t:
         raise ParameterError("system must live in the code's tower")
-    if (S.n, S.h) != (spec.n, spec.h):
+    if (S.n, S.h) != (spec.n, spec.h) or (inner is None and S.r != spec.r):
         raise ParameterError("system parameters do not match the code spec")
-    s = S.r
-    if inner.rows != s:
-        raise ParameterError("inner parity rows must match the subspace dimension")
-    if inner.cols != spec.r:
-        raise ParameterError("inner parity columns must match the locality")
-    Fq_inner = inner.field()
-    if Fq_inner.size != t.q or Fq_inner.char != t.p:
-        raise ParameterError("inner code must be defined over F_q")
-    need = spec.h + spec.delta
-    if need > s:
-        raise ParameterError(
-            f"inner code cannot have {need} independent columns with only {s} rows"
-        )
-    total = comb(spec.r, need)
-    if total > config.subset_budget(budget):
-        raise BudgetError(f"{total} column subsets exceed the budget")
-    sel, _ = first_dependent_subset(
-        Fq_inner, [[inner.column(j)] for j in range(inner.cols)], need
-    )
-    if sel is not None:
-        raise ParameterError(
-            f"inner code distance below h+delta+1: columns {sel} are dependent"
-        )
-    # column c's alpha is the F_q-combination of the group's basis by the
-    # inner column c: formed on coordinate vectors over F_q, so no product
-    # in the top field is needed
-    cols = [inner.column(c) for c in range(spec.r)]
+    if inner is None:
+        alphas = [[t.vec_to_top(v) for v in group] for group in S.basis]
+    else:
+        s = S.r
+        if inner.rows != s:
+            raise ParameterError("inner parity rows must match the subspace dimension")
+        if inner.cols != spec.r:
+            raise ParameterError("inner parity columns must match the locality")
+        Fq_inner = inner.field()
+        if Fq_inner.size != t.q or Fq_inner.char != t.p:
+            raise ParameterError("inner code must be defined over F_q")
+        need = spec.h + spec.delta
+        if need > s:
+            raise ParameterError(
+                f"inner code cannot have {need} independent columns with only {s} rows"
+            )
+        total = comb(spec.r, need)
+        if total > config.subset_budget(budget):
+            raise BudgetError(f"{total} column subsets exceed the budget")
+        cols = [inner.column(c) for c in range(spec.r)]
+        sel, _ = first_dependent_subset(Fq_inner, [[col] for col in cols], need)
+        if sel is not None:
+            raise ParameterError(
+                f"inner code distance below h+delta+1: columns {sel} are dependent"
+            )
+        # column c's alpha is the F_q-combination of the group's basis by
+        # the inner column c: formed on coordinate vectors over F_q, so no
+        # product in the top field is needed
+        groups = (FieldMatrix.from_rows(t, "mid", group) for group in S.basis)
+        alphas = [[t.vec_to_top(vec_mat(col, G)) for col in cols] for G in groups]
     A = local_parity_check(t, spec.r, spec.delta)
-    D = []
-    for group in S.basis:
-        G = FieldMatrix.from_rows(t, "mid", group)
-        alphas = [t.vec_to_top(vec_mat(col, G)) for col in cols]
-        D.append(moore_matrix(t, alphas, spec.h))
+    D = [moore_matrix(t, a, spec.h) for a in alphas]
     return MrParityCheck(spec, A, D, check=False)
 
 

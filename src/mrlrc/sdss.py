@@ -1,9 +1,10 @@
 """Subspace direct sum systems: n subspaces of F_q^m, each of dimension
 r, any h of which intersect only trivially so their sum has dimension
-h*r.  Provides exhaustive verification, three deterministic
-constructions (greedy counting, MDS-based, subfield-based), the
-equivalence with block codes, and the lower/upper bounds on the least
-ambient dimension.
+h*r.  Provides one certification walk (_walk: exhaustive in
+verify_direct_sum, strided under the budget in _certify), three
+deterministic constructions (greedy counting, MDS-based,
+subfield-based), the equivalence with block codes, and the lower/upper
+bounds on the least ambient dimension.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ class SubspaceSystem:
         return f"SubspaceSystem(q={self.tower.q}, n={self.n}, m={self.m}, r={self.r}, h={self.h}, {flag})"
 
 
+def _walk(S: SubspaceSystem, step: int = 1) -> tuple[bool, int]:
+    """The one certification walk: every group must have rank r and each
+    step-th h-subset of groups rank h*r.  Returns (verdict, h-subsets checked)."""
+    F = S.tower.field("mid")
+    if first_dependent_subset(F, S.basis, 1)[0] is not None:
+        return False, 0
+    bad, checked = first_dependent_subset(F, S.basis, S.h, step)
+    return bad is None, checked
+
+
 def verify_direct_sum(S: SubspaceSystem, budget: int | None = None,
                       stats: dict | None = None) -> bool:
     """True iff every group has rank r and every h-subset of groups
@@ -86,47 +97,31 @@ def verify_direct_sum(S: SubspaceSystem, budget: int | None = None,
     total = comb(S.n, S.h)
     if total > config.subset_budget(budget):
         raise BudgetError(f"{total} subsets exceed the enumeration budget")
-    if stats is None:
-        stats = {}
-    stats["subsets_checked"] = 0
-    F = S.tower.field("mid")
-    if first_dependent_subset(F, S.basis, 1)[0] is not None:
-        return False
-    bad, stats["subsets_checked"] = first_dependent_subset(F, S.basis, S.h)
-    return bad is None
+    ok, checked = _walk(S)
+    if stats is not None:
+        stats["subsets_checked"] = checked
+    return ok
 
 
 def _certify(S: SubspaceSystem, budget: int | None = None) -> SubspaceSystem:
+    """Certify a constructed system by the one walk, or raise
+    AssertionError: through verify_direct_sum when all C(n, h) subsets
+    fit the budget, else on every ceil(C(n, h) / cap)-th one (at most
+    cap, counted in certified_sample).  Group ranks are always checked."""
     total = comb(S.n, S.h)
     cap = config.subset_budget(budget)
     if total <= cap:
-        if not verify_direct_sum(S, budget):
-            raise AssertionError("construction produced a non-direct system")
-        S.certified = True
-        S.certified_sample = None
-        return S
-    # sampled certification: every step-th subset, deterministically;
-    # step = ceil(total / cap) keeps the sample within the cap
-    bad, checked = first_dependent_subset(
-        S.tower.field("mid"), S.basis, S.h, step=-(-total // cap)
-    )
-    if bad is not None:
+        ok, sample = verify_direct_sum(S, budget), None
+    else:
+        ok, sample = _walk(S, -(-total // cap))
+    if not ok:
         raise AssertionError("construction produced a non-direct system")
     S.certified = True
-    S.certified_sample = checked
+    S.certified_sample = sample
     return S
 
 
 # -- bounds ------------------------------------------------------------
-
-
-def _floor_log(q: int, s: int) -> int:
-    e = 0
-    v = q
-    while v <= s:
-        e += 1
-        v *= q
-    return e
 
 
 def _ceil_log(q: int, s: int) -> int:
@@ -140,12 +135,13 @@ def _ceil_log(q: int, s: int) -> int:
 
 def gv_dimension(q: int, n: int, r: int, h: int) -> int:
     """Smallest ambient dimension the greedy counting argument certifies:
-    r + floor(log_q sum_{i<h} C(n-1,i) (q^r-1)^i), in exact integers."""
+    r + floor(log_q s), s = sum_{i<h} C(n-1,i) (q^r-1)^i >= 1, taken in
+    exact integers as ceil(log_q (s+1)) - 1."""
     check_parameters(n, r, h)
     if q < 2:
         raise ParameterError(f"field size q={q} is below 2")
     total = sum(comb(n - 1, i) * (q**r - 1) ** i for i in range(h))
-    return r + _floor_log(q, total)
+    return r + _ceil_log(q, total + 1) - 1
 
 
 class BoundsReport(FrozenRecord):
@@ -349,7 +345,8 @@ def subfield_construct(t: FieldTower, u: int, r: int, h: int,
 
     Only the base field of t (p, a) is used; the returned system lives
     in a tower whose extension degree is the achieved parity rank,
-    which is at most h*u*r.
+    which is at most h*u*r.  _ell_basis gives the F_{q^u}-basis for
+    every u; at u = 1 it is the polynomial basis 1, q, ..., q^(r-1).
     """
     from .codes import rs_parity_check
 
@@ -362,11 +359,7 @@ def subfield_construct(t: FieldTower, u: int, r: int, h: int,
     big = make_tower(t.p, t.a, u * r)
     H = rs_parity_check(big, "top", n, h, budget)
     Ftop = big.field("top")
-    if u == 1:
-        bvecs = big.fq_basis()
-    else:
-        ell_fq = _subfield_inside(big, u)
-        bvecs = _ell_basis(big, ell_fq, r)
+    bvecs = _ell_basis(big, _subfield_inside(big, u), r)
     # row s is H[s][j]*b over the groups j and the basis vectors b
     rows = [[Ftop.mul(H.at(s, j), b) for j in range(n) for b in bvecs]
             for s in range(h)]

@@ -268,6 +268,38 @@ def test_bad_system_parameters_exit_2(tmp_path, capsys, argv, message):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--p", "2", "--r", "3", "--h", "2", "--delta", "1", "--n", "5",
+      "--sdss", "subfield", "--u", "1", "--m", "40"], "--m does not apply to --sdss subfield"),
+    (["sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5", "--sdss", "subfield",
+      "--m", "4"], "--m does not apply to --sdss subfield"),
+    (["construct", "--p", "2", "--r", "3", "--h", "2", "--delta", "1", "--n", "5",
+      "--u", "2"], "--u applies only to --sdss subfield, not mds"),
+    (["sdss", "--p", "2", "--r", "3", "--h", "2", "--n", "5", "--sdss", "gv",
+      "--u", "1"], "--u applies only to --sdss subfield, not gv"),
+    (["construct", "--p", "2", "--r", "15", "--h", "2", "--delta", "1", "--n", "3",
+      "--inner", "bch:15:2"], "--inner applies only to --method concat"),
+    (["construct", "--p", "2", "--r", "15", "--h", "2", "--delta", "1", "--n", "3",
+      "--method", "direct", "--inner", "bch:15:2"], "--inner applies only to --method concat"),
+], ids=["construct-subfield-m", "sdss-subfield-m", "construct-mds-u", "sdss-gv-u",
+        "default-method-inner", "direct-inner"])
+def test_options_the_method_never_reads_exit_2(tmp_path, capsys, argv, message):
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / "x"))
+    assert (code, stdout, err.splitlines()) == (2, "", [f"error: {message}"])
+    assert not any(tmp_path.iterdir())
+
+
+def test_subfield_without_u_is_u_1(tmp_path, capsys):
+    outs = []
+    for extra in ([], ["--u", "1"]):
+        out = tmp_path / f"s{len(extra)}.sdss"
+        code, stdout, _ = run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5",
+                              "--sdss", "subfield", *extra, "--out", str(out))
+        assert code == 0
+        outs.append((stdout, out.read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_bounds_achieved(tmp_path, capsys):
     out = tmp_path / "c.mr"
     run(capsys, "construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1",

@@ -72,6 +72,30 @@ def test_gv_sdss_matches_recorded_output(args, stdout, sha256, tmp_path, capsys,
     assert _sha256(out) == sha256
 
 
+# `mrlrc sdss --sdss subfield --u 1` over F_3 and F_4: (arguments,
+# stdout, SHA-256 of the system file), recorded while u = 1 still took
+# the top field's polynomial basis directly instead of _ell_basis
+SUBFIELD_U1_SDSS = [
+    (["--p", "3", "--n", "10", "--r", "2", "--h", "2"],
+     ["n=10 r=2 h=2 m=4 q=3 certified=1"],
+     "034aa16c18190604aa8b0dcc7cd94bff124b42afb6b7fc66944feb9ba824fc68"),
+    (["--p", "2", "--a", "2", "--n", "17", "--r", "2", "--h", "2"],
+     ["n=17 r=2 h=2 m=4 q=4 certified=1"],
+     "9e6ff43b9095804f274900a266a371b21d440ef6bb83d86c9c0ea47dbf371d32"),
+]
+
+
+@pytest.mark.parametrize("args,stdout,sha256", SUBFIELD_U1_SDSS,
+                         ids=["q3", "q4"])
+def test_subfield_u1_sdss_matches_recorded_output(args, stdout, sha256, tmp_path,
+                                                  capsys, monkeypatch):
+    monkeypatch.delenv("MRLRC_BUDGET", raising=False)
+    out = tmp_path / "subfield.sdss"
+    assert main(["sdss", *args, "--sdss", "subfield", "--u", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == stdout
+    assert _sha256(out) == sha256
+
+
 # `mrlrc construct --method concat` with Reed-Solomon inner codes over
 # F_3 and F_4: (arguments, stdout, SHA-256 of the code and system files)
 CONCAT_RS = [

@@ -22,6 +22,7 @@ from mrlrc.sdss import (
     subfield_construct,
     to_block_code,
     verify_direct_sum,
+    _certify,
     _ell_basis,
     _subfield_inside,
 )
@@ -94,6 +95,29 @@ def test_gv_dimension_values():
     assert gv_dimension(2, 4, 1, 2) == 1 + 2  # 1 + floor(log2 4)
     assert gv_dimension(2, 5, 2, 2) == 2 + 3  # 2 + floor(log2 13)
     assert gv_dimension(2, 2, 2, 2) == 4  # n = h collapses to hr
+
+
+def _brute_log(q: int, s: int, ceil: bool) -> int:
+    """Oracle: the least e with q^e >= s (ceil) or the greatest e with
+    q^e <= s, over an explicit list of powers."""
+    powers = [q**e for e in range(s.bit_length() + 2)]
+    if ceil:
+        return min(e for e, v in enumerate(powers) if v >= s)
+    return max(e for e, v in enumerate(powers) if v <= s)
+
+
+def test_gv_dimension_and_bounds_match_brute_force_logs():
+    for q in range(2, 10):
+        for n in range(1, 13):
+            for r in range(1, 5):
+                for h in range(1, n + 1):
+                    gv_sum = sum(comb(n - 1, i) * (q**r - 1) ** i for i in range(h))
+                    packing = sum(comb(n, i) * (q**r - 1) ** i for i in range(h // 2 + 1))
+                    rep = bounds(q, n, r, h)
+                    assert gv_dimension(q, n, r, h) == rep.gv_m
+                    assert rep.gv_m == r + _brute_log(q, gv_sum, ceil=False)
+                    if h >= 2:
+                        assert rep.hamming_lower == _brute_log(q, packing, ceil=True)
 
 
 def test_bounds_reject_field_size_below_2():
@@ -292,6 +316,25 @@ def test_sampled_certification_stays_within_the_cap(budget):
     S = mds_construct(make_tower(2, 1, 4), 5, 2, 2, budget=budget)
     assert S.certified
     assert S.certified_sample == len(range(0, 10, -(-10 // budget))) <= budget
+
+
+def test_sampled_certification_rejects_a_rank_deficient_group():
+    # group 3 spans only e0; at budget 3 the sample takes every 4th of the
+    # C(5, 2) = 10 pairs, (0, 1), (1, 2) and (2, 4), none holding group 3,
+    # so only the group ranks can refuse the system
+    t = make_tower(2, 1, 6)
+    e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    e02, e13 = (1, 0, 1, 0, 0, 0), (0, 1, 0, 1, 0, 0)
+    basis = [[e[0], e[1]], [e[2], e[3]], [e[4], e[5]], [e[0], e[0]], [e02, e13]]
+    S = SubspaceSystem(t, 5, 2, 2, basis)
+    assert not verify_direct_sum(S)
+    with pytest.raises(AssertionError, match="non-direct"):
+        _certify(S, budget=3)
+    assert not S.certified and S.certified_sample is None
+    # the same system without the defect passes that sample
+    basis[3] = [(1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 1)]
+    S = _certify(SubspaceSystem(t, 5, 2, 2, basis), budget=3)
+    assert S.certified and S.certified_sample == 3
 
 
 @pytest.mark.parametrize("p, a, u, r, expected", [
