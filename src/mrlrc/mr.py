@@ -18,7 +18,10 @@ derived once per parity check, and one check (_independent) decides
 them.  For h <= 2 a check compares the columns' projective keys, and
 the walk decides a block whole from its tables' key sets, walking
 pattern by pattern only the blocks that test leaves open; for h >= 3 a
-check is one h x h rank computation.  Every rank computation,
+check is one h x h rank computation.  A sampled walk is skipped when
+one certificate for the whole code holds (_certified: no key owned by
+two groups for h <= 2, every structured support for h >= 3), since then
+every pattern passes.  Every rank computation,
 determinant and subset check goes through the shared kernel in linalg.
 
 The erasure codec decodes an erased set densely the first time it sees
@@ -33,7 +36,7 @@ from __future__ import annotations
 from _thread import allocate_lock
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from time import perf_counter
 
 from . import config
@@ -508,6 +511,67 @@ def _gate(P: MrParityCheck, budget: int | None, sample: int | None):
     return None
 
 
+def _compositions(h: int, max_e: int, most: int):
+    """The compositions of h into at most `most` parts of at most max_e:
+    by number of parts, then in lexicographic order."""
+    for size in range(1, min(h, most) + 1):
+        for parts in product(range(1, max_e + 1), repeat=size):
+            if sum(parts) == h:
+                yield parts
+
+
+def _support_count(spec: MrCodeSpec) -> int:
+    """How many supports _supports yields, in closed form: per
+    composition, C(n, parts) choices of groups times C(r, delta + e)
+    erased sets per group erased on delta + e positions."""
+    n, r, delta = spec.n, spec.r, spec.delta
+    return sum(comb(n, len(parts)) * prod(comb(r, delta + e) for e in parts)
+               for parts in _compositions(spec.h, min(spec.h, r - delta), n))
+
+
+def _supports(P: MrParityCheck, tables):
+    """The h table entries (_tables) of every erased support, the unit of
+    verify_mr_structured: at most h groups, a composition of h into parts
+    e of at most r - delta (_compositions), and per group an erased set E
+    of delta + e positions, given by the entries of the columns in
+    E[delta:] off its delta-subset E[:delta]."""
+    spec = P.spec
+    n, r, h, delta = spec.n, spec.r, spec.h, spec.delta
+    max_e = min(h, r - delta)
+    # per (e, group), per erased set E in lexicographic order (its
+    # delta-subset S, then the e positions after S)
+    sets = {(e, i): [[table[i * r + j] for j in tail]
+                     for S, table in zip(_subsets(r, delta), tables[i])
+                     for tail in combinations(range(S[-1] + 1, r), e)]
+            for e in range(1, max_e + 1) for i in range(n)}
+    for parts in _compositions(h, max_e, n):
+        for groups in combinations(range(n), len(parts)):
+            choices = [sets[e, i] for i, e in zip(groups, parts)]
+            for cols in product(*choices):
+                yield [c for cs in cols for c in cs]
+
+
+def _certified(P: MrParityCheck, sampled: int) -> bool:
+    """The whole-code certificate a sampled verify_mr tries first: True
+    only when every pattern of P passes.  For h <= 2 it is the
+    key-ownership map: the keys a group owns are the union of its key
+    sets, and the code is clean when every key set is defined and no key
+    is owned by two groups (_block_clean on the owned sets), which makes
+    every block clean whatever subset each group takes.  For h >= 3 it
+    is every support of verify_mr_structured passing, tried only when
+    there are at most `sampled` of them (_support_count), so it never
+    costs more checks than the walk it saves."""
+    spec = P.spec
+    tables, key_sets = _tables(P)
+    if spec.h <= 2:
+        return _block_clean([None if None in row else set().union(*row)
+                             for row in key_sets])
+    if _support_count(spec) > sampled:
+        return False
+    return all(map(_independent(spec.tower.field("top"), spec.h),
+                   _supports(P, tables)))
+
+
 def verify_mr(P: MrParityCheck, budget: int | None = None,
               sample: int | None = None) -> VerifyReport:
     """Check the two parity-check conditions by enumeration.
@@ -523,15 +587,20 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     the group's local pivots, so (b) holds iff the h extras, reduced
     against them, are independent (_independent), read off P's tables
     (_tables, one per group and subset, shared with
-    verify_mr_structured).  For h <= 2 a check compares the extras'
-    projective keys, and a block (the patterns sharing their per-group
-    subsets) is decided whole: when its tables hold no undefined key, no
-    equal keys within a table and no key in two groups (_block_clean),
-    all its sampled patterns pass and are counted without being
-    unranked.  Only the other blocks, and every block for h >= 3, are
-    walked pattern by pattern, one check each (an h x h rank computation
-    for h >= 3), so the counts, the first failure and the verdict are
-    those of a walk over every sampled pattern.
+    verify_mr_structured).  A sampled walk first tries one certificate
+    for the whole code (_certified): for h <= 2 no key undefined, no
+    equal keys within a table and no key in two groups' tables; for
+    h >= 3 every structured support, when there are no more of them than
+    sampled patterns.  When it holds every sampled pattern passes, and
+    they are counted without a block being visited.  Otherwise, and
+    always when exhaustive, the patterns are walked: for h <= 2 a check
+    compares the extras' projective keys, and a block (the patterns
+    sharing their per-group subsets) whose tables pass that test
+    (_block_clean) is decided whole; the other blocks, and every block
+    for h >= 3, are walked pattern by pattern, one check each (an h x h
+    rank computation for h >= 3).  Either way the counts, the first
+    failure and the verdict are those of a walk over every sampled
+    pattern.
     """
     t0 = perf_counter()
     spec = P.spec
@@ -541,6 +610,10 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
         return report
     total = pattern_count(spec)
     step = 1 if sample is None else max(1, total // sample)
+    if sample is not None:
+        sampled = len(range(0, total, step))
+        if _certified(P, sampled):
+            return VerifyReport(True, sampled, None, sampled, perf_counter() - t0)
     h, r = spec.h, spec.r
     tables, key_sets = _tables(P)
     independent = _independent(spec.tower.field("top"), h)
@@ -579,13 +652,14 @@ def verify_mr_structured(P: MrParityCheck,
     these).  A maximal pattern is recoverable iff the h columns of its
     groups have rank h, so one check per support (at most h groups, a
     composition of h into parts of at most r - delta, one erased set
-    per group) covers every pattern; the check is verify_mr's
-    (_independent) on the same tables (_tables), and `checks` counts one
-    per support.  Gate, budget and the success report are those of
-    verify_mr, plus `checks`; when a check fails the dense walk
-    (verify_mr, on the tables already built) locates the first
-    counterexample and its report is returned, its `checks` counting
-    the supports checked plus the patterns the walk decided.
+    per group: _supports, shared with the sampled verify_mr) covers
+    every pattern; the check is verify_mr's (_independent) on the same
+    tables (_tables), and `checks` counts one per support.  Gate, budget
+    and the success report are those of verify_mr, plus `checks`; when a
+    check fails the dense walk (verify_mr, on the tables already built)
+    locates the first counterexample and its report is returned, its
+    `checks` counting the supports checked plus the patterns the walk
+    decided.
     """
     t0 = perf_counter()
     spec = P.spec
@@ -593,39 +667,22 @@ def verify_mr_structured(P: MrParityCheck,
     if report is not None:
         report.elapsed = perf_counter() - t0
         return report
-    n, r, h, delta = spec.n, spec.r, spec.h, spec.delta
     tables, _ = _tables(P)
-    independent = _independent(spec.tower.field("top"), h)
-    max_e = min(h, r - delta)
-    # per (e, group), per erased set E of delta + e positions in
-    # lexicographic order (its delta-subset S = E[:delta], then the e
-    # positions after S): the table entries of the columns in E[delta:]
-    sets = {(e, i): [[table[i * r + j] for j in tail]
-                     for S, table in zip(_subsets(r, delta), tables[i])
-                     for tail in combinations(range(S[-1] + 1, r), e)]
-            for e in range(1, max_e + 1) for i in range(n)}
+    independent = _independent(spec.tower.field("top"), spec.h)
     checks = 0
-    for size in range(1, min(h, n) + 1):
-        # the compositions of h into `size` parts of at most max_e, in
-        # lexicographic order
-        for parts in product(range(1, max_e + 1), repeat=size):
-            if sum(parts) != h:
-                continue
-            for groups in combinations(range(n), size):
-                choices = [sets[e, i] for i, e in zip(groups, parts)]
-                for cols in product(*choices):
-                    checks += 1
-                    if independent([c for cs in cols for c in cs]):
-                        continue
-                    report = verify_mr(P, budget)
-                    if report.ok:
-                        raise AssertionError(
-                            "structured verifier found a dependent support "
-                            "that the dense walk accepts"
-                        )
-                    report.checks = checks + report.patterns_checked
-                    report.elapsed = perf_counter() - t0
-                    return report
+    for cols in _supports(P, tables):
+        checks += 1
+        if independent(cols):
+            continue
+        report = verify_mr(P, budget)
+        if report.ok:
+            raise AssertionError(
+                "structured verifier found a dependent support "
+                "that the dense walk accepts"
+            )
+        report.checks = checks + report.patterns_checked
+        report.elapsed = perf_counter() - t0
+        return report
     return VerifyReport(True, pattern_count(spec), None, None, perf_counter() - t0,
                         checks=checks)
 

@@ -8,6 +8,8 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mrlrc import mr
 from mrlrc.linalg import FieldMatrix, columns_independent, is_mds_parity_check, solve
@@ -19,9 +21,10 @@ from mrlrc.mr import (
     moore_matrix,
     pattern_count,
     verify_mr,
+    verify_mr_structured,
 )
 
-from test_mr_structured import base_code
+from test_mr_structured import base_code, reference_verify_mr, without_elapsed
 
 # (p, a, r, h, delta, n): h in {1, 2} over F_2, F_3 and F_4, one delta = 2
 CODES = {
@@ -211,3 +214,116 @@ def test_h3_blocks_are_all_walked(monkeypatch):
     step = max(1, total // 100)
     assert report.ok
     assert len(pools) == len({i // extras_total for i in range(0, total, step)})
+
+
+# -- the whole-code certificate a sampled walk tries first ----------------------
+
+# (p, a, r, h, delta, n): h in {1, 2, 3} over F_2 and F_3, each small
+# enough for the per-pattern reference (at most 4,536 patterns)
+CERT_CODES = (
+    (2, 1, 3, 1, 1, 4),
+    (3, 1, 3, 1, 1, 4),
+    (2, 1, 3, 2, 1, 5),
+    (2, 1, 3, 2, 2, 4),
+    (3, 1, 3, 2, 1, 4),
+    (2, 1, 3, 3, 1, 4),
+    (3, 1, 2, 3, 1, 4),
+)
+
+
+def corrupt_moore(P, kind, rnd):
+    """P with one group's Moore block changed: copied from another group
+    (copy), one reduced column made zero (zero), two alphas made equal
+    (equal) or every alpha drawn at random (random)."""
+    spec, t = P.spec, P.spec.tower
+    n, r, delta = spec.n, spec.r, spec.delta
+    i, j = rnd.sample(range(n), 2)
+    if kind == "none":
+        return P
+    if kind == "zero":
+        S = tuple(sorted(j * r + s for s in rnd.sample(range(r), delta)))
+        c = rnd.choice([c for c in range(j * r, (j + 1) * r) if c not in S])
+        return with_reduced(P, j, S, c, 0)
+    D = list(P.D)
+    if kind == "copy":
+        D[j] = D[i]
+    else:
+        alphas = D[j].row(0)
+        if kind == "equal":
+            a, b = rnd.sample(range(r), 2)
+            alphas[b] = alphas[a]
+        else:
+            alphas = [rnd.randrange(t.field("top").size) for _ in range(r)]
+        D[j] = moore_matrix(t, alphas, spec.h)
+    return MrParityCheck(spec, P.A, D)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(code=st.sampled_from(CERT_CODES),
+       kind=st.sampled_from(("none", "copy", "zero", "equal", "random")),
+       # samples below and above the 144 supports of the F_2, h = 3 code
+       sample=st.one_of(st.integers(1, 300), st.integers(300, 5000)),
+       rnd=st.randoms(use_true_random=False))
+def test_certificate_matches_the_walk_and_the_reference(code, kind, sample, rnd):
+    P = corrupt_moore(base_code(*code), kind, rnd)
+    report = verify_mr(P, sample=sample)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mr, "_certified", lambda P, sampled: False)
+        walked = verify_mr(P, sample=sample)
+    assert without_elapsed(report) == without_elapsed(walked)
+    if report.patterns_checked <= 1000:
+        assert without_elapsed(report) == without_elapsed(reference_verify_mr(P, sample=sample))
+    if kind == "none":
+        assert report.ok
+
+
+def counted(monkeypatch, name):
+    """The argument lists of every call to mr.<name>."""
+    calls = []
+    real = getattr(mr, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mr, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("sample", (1, 500, 10**6))
+@pytest.mark.parametrize("name", ("p2-h1", "p3-h1", "p2-h2", "p3-h2-r4", "q4-h2"))
+def test_certified_sample_visits_no_block(monkeypatch, name, sample):
+    P = base_code(*CODES[name])
+    ranks = counted(monkeypatch, "_ranks")
+    cleans = counted(monkeypatch, "_block_clean")
+    report = verify_mr(P, sample=sample)
+    total = pattern_count(P.spec)
+    want = len(range(0, total, max(1, total // sample)))
+    assert (report.ok, report.patterns_checked, report.sampled) == (True, want, want)
+    assert ranks == []
+    # one key-ownership test on the groups' owned keys, none per block
+    assert len(cleans) == 1 and len(cleans[0][0]) == P.spec.n
+
+
+@pytest.mark.parametrize("sample", (144, 1000, 10**6))
+def test_h3_sample_above_the_supports_unranks_no_pattern(monkeypatch, sample):
+    # 144 structured supports, at most the sampled patterns
+    P = base_code(2, 1, 3, 3, 1, 4)
+    assert mr._support_count(P.spec) == 144
+    pools = count_unranked(monkeypatch)
+    ranks = counted(monkeypatch, "_ranks")
+    report = verify_mr(P, sample=sample)
+    total = pattern_count(P.spec)
+    want = len(range(0, total, max(1, total // sample)))
+    assert want >= 144
+    assert (report.ok, report.patterns_checked, report.sampled) == (True, want, want)
+    assert pools == [] and ranks == []
+
+
+@pytest.mark.parametrize("code", CERT_CODES + ((2, 1, 3, 4, 1, 5),))
+def test_support_count_is_the_supports_walked(code):
+    P = base_code(*code)
+    tables, _ = mr._tables(P)
+    assert mr._support_count(P.spec) == sum(1 for _ in mr._supports(P, tables))
+    assert mr._support_count(P.spec) == verify_mr_structured(P).checks

@@ -6,6 +6,7 @@ from time import perf_counter
 
 import pytest
 
+from mrlrc import linalg
 from mrlrc.codes import BlockCode, LinearCode, block_min_distance
 from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
@@ -24,6 +25,7 @@ from mrlrc.sdss import (
     verify_direct_sum,
     _certify,
     _ell_basis,
+    _walk,
     _subfield_inside,
 )
 
@@ -335,6 +337,34 @@ def test_sampled_certification_rejects_a_rank_deficient_group():
     basis[3] = [(1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 1)]
     S = _certify(SubspaceSystem(t, 5, 2, 2, basis), budget=3)
     assert S.certified and S.certified_sample == 3
+
+
+def test_h1_walk_ranks_each_group_once(monkeypatch):
+    # for h = 1 the 1-subsets are the groups, so the group-rank pass is
+    # the whole walk: 17 rank checks for 17 groups, at every step
+    S = mds_construct(make_tower(2, 1, 4), 17, 4, 1)
+    calls = []
+    real = linalg._rank_rows
+
+    def counted(F, rows):
+        calls.append(None)
+        return real(F, rows)
+
+    monkeypatch.setattr(linalg, "_rank_rows", counted)
+    stats = {}
+    assert verify_direct_sum(S, stats=stats)
+    assert len(calls) == stats["subsets_checked"] == 17
+    for step in (2, 5, 17, 40):
+        calls.clear()
+        assert _walk(S, step) == (True, len(range(0, 17, step)))
+        assert len(calls) == 17
+    # a rank-deficient group still fails before any 1-subset is counted
+    basis = [list(g) for g in S.basis]
+    basis[9][1] = basis[9][0]
+    bad = SubspaceSystem(S.tower, 17, 4, 1, basis)
+    stats = {}
+    assert not verify_direct_sum(bad, stats=stats) and stats["subsets_checked"] == 0
+    assert _walk(bad, 3) == (False, 0)
 
 
 @pytest.mark.parametrize("p, a, u, r, expected", [
