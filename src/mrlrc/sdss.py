@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from . import config
 from .codes import BlockCode, LinearCode, block_min_distance, subfield_subcode
@@ -182,12 +183,41 @@ def _fp_rows(t: FieldTower, vec) -> list[list[int]]:
     ]
 
 
-def _span_checks(t: FieldTower, rows: list[list[int]]) -> list[list[int]]:
-    """F_p parity-check basis of the span of F_p rows: x lies in the span
-    iff y.x = 0 for every returned y."""
-    n = t.a * t.m
-    M = FieldMatrix(t, "prime", len(rows), n, [d for row in rows for d in row])
-    return kernel(M).to_rows()
+def _identity(n: int) -> list[list[int]]:
+    """Check basis of the zero span of F_p^n: every coordinate."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _add_row(checks: list[list[int]], row: list[int], p: int) -> list[list[int]]:
+    """F_p parity-check basis of span + row from one of the span: x lies
+    in the span iff y.x = 0 for every check y.
+
+    When every check's syndrome on the row is 0 the row lies in the span
+    and the basis is returned unchanged.  Otherwise the first check with
+    a nonzero syndrome is eliminated from the others mod p and dropped,
+    which leaves one check fewer, each with syndrome 0 on the row.
+    """
+    syndromes = [sum(map(mul, y, row)) % p for y in checks]
+    for k, s in enumerate(syndromes):
+        if s:
+            break
+    else:
+        return checks
+    pivot, inv = checks[k], pow(s, -1, p)
+    out = checks[:k]
+    for y, t in zip(checks[k + 1:], syndromes[k + 1:]):
+        if t:
+            c = t * inv % p  # y - c*pivot has syndrome t - c*s = 0
+            y = [(e - c * f) % p for e, f in zip(y, pivot)]
+        out.append(y)
+    return out
+
+
+def _add_rows(checks: list[list[int]], rows: list[list[int]], p: int) -> list[list[int]]:
+    """Check basis of span + every row, one `_add_row` per row."""
+    for row in rows:
+        checks = _add_row(checks, row, p)
+    return checks
 
 
 def _first_outside(p: int, n: int, check_sets: list[list[list[int]]],
@@ -243,10 +273,13 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int,
     group being built.  Refuses ambient dimensions below gv_dimension,
     where the guarantee of finding such a vector is void.
 
-    Each slot takes an F_p parity-check basis of every span it must
-    avoid, and scans the codes against all their syndromes at once,
-    packed into one int (`_first_outside`).  A code's F_p coordinates
-    are the base-p digits of the code itself.  Within a group the scan
+    Each slot scans the codes against an F_p parity-check basis of every
+    span it must avoid, with all their syndromes packed into one int
+    (`_first_outside`).  A code's F_p coordinates are the base-p digits
+    of the code itself.  The bases are updated, never recomputed: the
+    base span of each (h-1)-subset of groups is folded once, row by row
+    (`_add_row`), from its prefix subset's, and within a group each
+    chosen vector's rows are folded into every current basis.  The scan
     resumes after the previous slot's vector: the spans only grow from
     slot to slot, so every code up to that vector is still inside one.
     """
@@ -256,6 +289,7 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int,
         raise ParameterError(
             f"ambient dimension {m} is below the greedy guarantee {need}"
         )
+    p, width = t.p, t.a * m
     basis = []
     for i in range(h):
         group = []
@@ -264,22 +298,30 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int,
             v[i * r + j] = 1
             group.append(tuple(v))
         basis.append(group)
-    # F_p-expansion of every group, and of the partial group being built
+    # F_p-expansion of every group
     expanded = [[row for v in group for row in _fp_rows(t, v)] for group in basis]
+    # check basis of the span of each subset of groups, keyed by the subset
+    bases = {(): _identity(width)}
+
+    def base(subset):
+        if subset not in bases:
+            bases[subset] = _add_rows(base(subset[:-1]), expanded[subset[-1]], p)
+        return bases[subset]
+
     for i in range(h, n):
+        check_sets = [base(subset) for subset in combinations(range(i), h - 1)]
         group, partial = [], []
         code = -1
-        for _ in range(r):
-            check_sets = [
-                _span_checks(t, [row for g in subset for row in expanded[g]] + partial)
-                for subset in combinations(range(i), h - 1)
-            ]
-            code = _first_outside(t.p, t.a * m, check_sets, code + 1)
+        for j in range(r):
+            if j:
+                check_sets = [_add_rows(checks, rows, p) for checks in check_sets]
+            code = _first_outside(p, width, check_sets, code + 1)
             if code is None:
                 raise AssertionError("greedy scan exhausted; counting bound violated")
             v = tuple(t.top_to_vec(code))
             group.append(v)
-            partial += _fp_rows(t, v)
+            rows = _fp_rows(t, v)
+            partial += rows
         basis.append(group)
         expanded.append(partial)
     return _certify(SubspaceSystem(t, n, r, h, basis), budget)
@@ -327,18 +369,20 @@ def _ell_basis(t: FieldTower, ell_basis_fq: list[int], r: int) -> list[int]:
     """Greedy F_{q^u}-basis of the top field, in ascending code order:
     each element is the first code outside the F_{q^u}-span of those
     chosen before it (the F_q-span of g * code over the F_q-basis g of
-    F_{q^u}), found by gv_greedy's scan (_first_outside)."""
+    F_{q^u}), found by gv_greedy's scan (_first_outside) against a check
+    basis that each chosen element's rows are folded into (_add_row)."""
     F = t.field("top")
+    p, width = t.p, t.a * t.m
     chosen: list[int] = []
-    rows: list[list[int]] = []
+    checks = _identity(width)
     code = 0
     for _ in range(r):
-        code = _first_outside(t.p, t.a * t.m, [_span_checks(t, rows)], code + 1)
+        code = _first_outside(p, width, [checks], code + 1)
         if code is None:
             raise AssertionError("top field too small for the requested basis")
         chosen.append(code)
         for g in ell_basis_fq:
-            rows += _fp_rows(t, t.top_to_vec(F.mul(g, code)))
+            checks = _add_rows(checks, _fp_rows(t, t.top_to_vec(F.mul(g, code))), p)
     return chosen
 
 

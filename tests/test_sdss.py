@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import mrlrc.sdss as sdss_module
 from mrlrc import linalg
 from mrlrc.codes import BlockCode, LinearCode, block_min_distance
 from mrlrc.errors import BudgetError, ParameterError
+from mrlrc.fileio import format_sdss
 from mrlrc.gf import make_tower
 from mrlrc.linalg import FieldMatrix, _echelonize, _rank_rows, _reduce_against
 from mrlrc.sdss import (
@@ -23,11 +28,15 @@ from mrlrc.sdss import (
     subfield_construct,
     to_block_code,
     verify_direct_sum,
+    _add_row,
     _certify,
     _ell_basis,
+    _identity,
     _walk,
     _subfield_inside,
 )
+
+SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
 
 
 def in_span(F, rows, vec):
@@ -226,6 +235,81 @@ def test_gv_greedy_matches_reference_scan():
         assert gv_greedy(t, n, r, h).basis == reference_gv_basis(t, n, r, h)
 
     check()
+
+
+def test_add_row_matches_kernel():
+    # the check basis of a span folded row by row from the identity
+    # against the oracle, linalg.kernel of the stacked rows
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        n = data.draw(st.integers(1, 12))
+        t = make_tower(p)
+        F = t.field("prime")
+        digit = st.integers(0, p - 1)
+        rows = []
+        for _ in range(data.draw(st.integers(0, n + 3))):
+            kind = data.draw(st.sampled_from(
+                ("random", "zero", "repeat", "sum", "multiple") if rows
+                else ("random", "zero")))
+            if kind == "random":
+                row = data.draw(st.lists(digit, min_size=n, max_size=n))
+            elif kind == "zero":
+                row = [0] * n
+            elif kind == "repeat":
+                row = list(data.draw(st.sampled_from(rows)))
+            elif kind == "sum":
+                x, y = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+                row = [(a + b) % p for a, b in zip(x, y)]
+            else:
+                c = data.draw(digit)
+                row = [c * a % p for a in data.draw(st.sampled_from(rows))]
+            rows.append(row)
+        checks = _identity(n)
+        for i, row in enumerate(rows):
+            new = _add_row(checks, row, p)
+            if _rank_rows(F, rows[:i + 1]) == _rank_rows(F, rows[:i]):
+                assert new is checks  # a dependent row leaves the basis
+            checks = new
+        rk = _rank_rows(F, rows)
+        assert len(checks) == n - rk
+        assert _rank_rows(F, checks) == len(checks)
+        assert all(sum(a * b for a, b in zip(y, row)) % p == 0
+                   for y in checks for row in rows)
+        K = linalg.kernel(FieldMatrix(t, "prime", len(rows), n,
+                                      [d for row in rows for d in row]))
+        assert K.rows == len(checks)
+        assert _rank_rows(F, checks + K.to_rows()) == len(checks)
+
+    check()
+
+
+# (label in perfbench/spec.json, tower, n, r, h) of the benchmark's two
+# slowest construct commands
+GV_BENCH = [("gv-2-16", (2, 1, 16), 8, 4, 3), ("gv-2-13", (2, 1, 13), 10, 3, 3)]
+
+
+@pytest.mark.parametrize("label, tower, n, r, h", GV_BENCH, ids=[c[0] for c in GV_BENCH])
+def test_gv_greedy_makes_no_kernel_call(label, tower, n, r, h, monkeypatch):
+    # one kernel per span per slot would be 220 calls on gv-2-16 and 357
+    # on gv-2-13; the check bases are updated instead
+    spec = json.loads(SPEC.read_text())["construct"]
+    digest = next(c["sha256"]["sdss"] for c in spec if c["label"] == label)
+    kernel, calls = linalg.kernel, []
+
+    def counting(M):
+        calls.append(M.rows)
+        return kernel(M)
+
+    monkeypatch.setattr(linalg, "kernel", counting)
+    monkeypatch.setattr(sdss_module, "kernel", counting)
+    S = gv_greedy(make_tower(*tower), n, r, h)
+    assert calls == []
+    assert hashlib.sha256(format_sdss(S).encode()).hexdigest() == digest
 
 
 # -- MDS construction ----------------------------------------------------------
