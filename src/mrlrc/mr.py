@@ -15,14 +15,16 @@ structured verifier reaches the same verdict with one such check per
 erased support.  Both verifiers pass one gate (_gate) and read one
 store (_tables): every table of reduced columns (_reduced_columns),
 derived once per parity check, and one check (_independent) decides
-them.  For h <= 2 a check compares the columns' projective keys, and
-the walk decides a block whole from its tables' key sets, walking
-pattern by pattern only the blocks that test leaves open; for h >= 3 a
-check is one h x h rank computation.  A sampled walk is skipped when
-one certificate for the whole code holds (_certified: no key owned by
-two groups for h <= 2, every structured support for h >= 3), since then
-every pattern passes.  Every rank computation,
-determinant and subset check goes through the shared kernel in linalg.
+them.  For h <= 2 a check compares the columns' projective keys; for
+h >= 3 it is one h x h rank computation.  One certificate for the
+whole code decides every verify_mr run, exhaustive or sampled
+(_certified: no key owned by two groups for h <= 2, the one support
+walk of the structured verifier for h >= 3), since when it holds every
+pattern passes; the patterns are walked (_block_walk) only when it
+fails, to find the first failure, and for h <= 2 that walk decides a
+block whole from its tables' key sets, walking pattern by pattern only
+the blocks that test leaves open.  Every rank computation, determinant
+and subset check goes through the shared kernel in linalg.
 
 The erasure codec decodes an erased set densely the first time it sees
 it and from a cached decode plan when the set comes back, with the
@@ -36,7 +38,7 @@ from __future__ import annotations
 from _thread import allocate_lock
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, prod
+from math import comb
 from time import perf_counter
 
 from . import config
@@ -340,7 +342,7 @@ def _blocks(spec: MrCodeSpec, step: int):
     index = 0
     while index < total:
         block, first = divmod(index, extras_total)
-        count = len(range(first, extras_total, step))
+        count = -(-(extras_total - first) // step)
         yield _ranks(spec, block), first, count
         index += step * count
 
@@ -475,7 +477,8 @@ def _tables(P: MrParityCheck):
     on P: per group g and subset index k (_subsets), the table of group
     g's columns off its k-th delta-subset (_reduced_columns), mapping
     each column to its projective key for h <= 2 and to w(S, c) itself
-    for h >= 3, and the table's key set (_key_set; None for h >= 3).
+    for h >= 3, and for h <= 2 the tables' key sets (_key_set; None as a
+    whole for h >= 3, where no block can be decided whole).
     Read only past the gate, whose MDS test makes every A|_S invertible."""
     if P._tables is None:
         spec = P.spec
@@ -486,7 +489,7 @@ def _tables(P: MrParityCheck):
             return {c: _projective_key(F, w) for c, w in cols.items()} if h <= 2 else cols
 
         tables = [[table(g, S) for S in _subsets(r, spec.delta)] for g in range(spec.n)]
-        key_sets = [[_key_set(t, h) if h <= 2 else None for t in row] for row in tables]
+        key_sets = [[_key_set(t, h) for t in row] for row in tables] if h <= 2 else None
         P._tables = tables, key_sets
     return P._tables
 
@@ -513,20 +516,39 @@ def _gate(P: MrParityCheck, budget: int | None, sample: int | None):
 
 def _compositions(h: int, max_e: int, most: int):
     """The compositions of h into at most `most` parts of at most max_e:
-    by number of parts, then in lexicographic order."""
+    by number of parts, then in lexicographic order.  Each is built
+    part by part, every part in the range that leaves the rest a
+    composition, so nothing else is formed."""
+    def parts(total, size):
+        if size == 1:
+            if total <= max_e:
+                yield (total,)
+            return
+        for first in range(max(1, total - max_e * (size - 1)),
+                           min(max_e, total - size + 1) + 1):
+            for rest in parts(total - first, size - 1):
+                yield (first,) + rest
+
     for size in range(1, min(h, most) + 1):
-        for parts in product(range(1, max_e + 1), repeat=size):
-            if sum(parts) == h:
-                yield parts
+        yield from parts(h, size)
 
 
 def _support_count(spec: MrCodeSpec) -> int:
-    """How many supports _supports yields, in closed form: per
-    composition, C(n, parts) choices of groups times C(r, delta + e)
-    erased sets per group erased on delta + e positions."""
-    n, r, delta = spec.n, spec.r, spec.delta
-    return sum(comb(n, len(parts)) * prod(comb(r, delta + e) for e in parts)
-               for parts in _compositions(spec.h, min(spec.h, r - delta), n))
+    """How many supports _supports yields, without listing them or the
+    compositions: those on k groups are C(n, k) choices of groups times
+    the sum, over the compositions of h into k parts e, of the products
+    of C(r, delta + e) erased sets per part.  Round k turns ways[s],
+    that sum for s into k - 1 parts, into the sum for k parts."""
+    n, r, h, delta = spec.n, spec.r, spec.h, spec.delta
+    max_e = min(h, r - delta)
+    sets = [comb(r, delta + e) for e in range(max_e + 1)]
+    ways = [1] + [0] * h
+    count = 0
+    for k in range(1, min(h, n) + 1):
+        ways = [sum(ways[s - e] * sets[e] for e in range(1, min(s, max_e) + 1))
+                for s in range(h + 1)]
+        count += comb(n, k) * ways[h]
+    return count
 
 
 def _supports(P: MrParityCheck, tables):
@@ -551,25 +573,62 @@ def _supports(P: MrParityCheck, tables):
                 yield [c for cs in cols for c in cs]
 
 
-def _certified(P: MrParityCheck, sampled: int) -> bool:
-    """The whole-code certificate a sampled verify_mr tries first: True
-    only when every pattern of P passes.  For h <= 2 it is the
-    key-ownership map: the keys a group owns are the union of its key
-    sets, and the code is clean when every key set is defined and no key
-    is owned by two groups (_block_clean on the owned sets), which makes
-    every block clean whatever subset each group takes.  For h >= 3 it
-    is every support of verify_mr_structured passing, tried only when
-    there are at most `sampled` of them (_support_count), so it never
-    costs more checks than the walk it saves."""
+def _support_walk(P: MrParityCheck) -> tuple[bool, int]:
+    """Every support (_supports) in order, each decided by the one check
+    (_independent) on P's tables, up to the first dependent one: (all
+    independent, supports checked)."""
     spec = P.spec
-    tables, key_sets = _tables(P)
+    independent = _independent(spec.tower.field("top"), spec.h)
+    checks = 0
+    for checks, cols in enumerate(_supports(P, _tables(P)[0]), 1):
+        if not independent(cols):
+            return False, checks
+    return True, checks
+
+
+def _certified(P: MrParityCheck, covered: int) -> bool:
+    """The whole-code certificate verify_mr asks before any walk,
+    exhaustive or sampled: True only when every pattern of P passes.
+    For h <= 2 it is the key-ownership map: the keys a group owns are
+    the union of its key sets, and the code is clean when every key set
+    is defined and no key is owned by two groups (_block_clean on the
+    owned sets), which makes every block clean whatever subset each
+    group takes.  For h >= 3 it is the support walk of
+    verify_mr_structured passing (_support_walk), tried only when there
+    are at most `covered` supports (_support_count), so it never costs
+    more checks than the walk it saves; an exhaustive walk covers every
+    pattern, and a code has no more supports than patterns."""
+    spec = P.spec
     if spec.h <= 2:
         return _block_clean([None if None in row else set().union(*row)
-                             for row in key_sets])
-    if _support_count(spec) > sampled:
-        return False
-    return all(map(_independent(spec.tower.field("top"), spec.h),
-                   _supports(P, tables)))
+                             for row in _tables(P)[1]])
+    return _support_count(spec) <= covered and _support_walk(P)[0]
+
+
+def _block_walk(P: MrParityCheck, step: int) -> tuple[int, ErasurePattern | None]:
+    """The patterns at index 0, step, 2*step, ... (_blocks) in order, up
+    to the first dependent one: (patterns checked, that pattern or None).
+    For h <= 2 a block whose tables' key sets pass _block_clean is counted
+    whole; every other block is unranked and walked pattern by pattern,
+    one check (_independent) each."""
+    spec = P.spec
+    h, r = spec.h, spec.r
+    tables, key_sets = _tables(P)
+    independent = _independent(spec.tower.field("top"), h)
+    checked = 0
+    for ranks, first, count in _blocks(spec, step):
+        if key_sets is not None and _block_clean(
+                [row[rk] for row, rk in zip(key_sets, ranks)]):
+            checked += count
+            continue
+        pg, rest = _block(spec, ranks)
+        # each extra is looked up in the table of its own group
+        by_group = [row[rk] for row, rk in zip(tables, ranks)]
+        for extra in _strided_combinations(rest, h, step, first):
+            checked += 1
+            if not independent([by_group[c // r][c] for c in extra]):
+                return checked, ErasurePattern(per_group=pg, extra=extra)
+    return checked, None
 
 
 def verify_mr(P: MrParityCheck, budget: int | None = None,
@@ -587,52 +646,32 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     the group's local pivots, so (b) holds iff the h extras, reduced
     against them, are independent (_independent), read off P's tables
     (_tables, one per group and subset, shared with
-    verify_mr_structured).  A sampled walk first tries one certificate
-    for the whole code (_certified): for h <= 2 no key undefined, no
-    equal keys within a table and no key in two groups' tables; for
-    h >= 3 every structured support, when there are no more of them than
-    sampled patterns.  When it holds every sampled pattern passes, and
-    they are counted without a block being visited.  Otherwise, and
-    always when exhaustive, the patterns are walked: for h <= 2 a check
-    compares the extras' projective keys, and a block (the patterns
-    sharing their per-group subsets) whose tables pass that test
-    (_block_clean) is decided whole; the other blocks, and every block
-    for h >= 3, are walked pattern by pattern, one check each (an h x h
-    rank computation for h >= 3).  Either way the counts, the first
-    failure and the verdict are those of a walk over every sampled
-    pattern.
+    verify_mr_structured).  One certificate for the whole code then
+    decides every run, exhaustive or sampled (_certified): for h <= 2
+    no key undefined, no equal keys within a table and no key in two
+    groups' tables; for h >= 3 every structured support, when there are
+    no more of them than covered patterns.  When it holds every covered
+    pattern passes, and they are counted without a block being visited.
+    Only when it fails are the patterns walked (_block_walk), to find
+    the first failure: for h <= 2 a block (the patterns sharing their
+    per-group subsets) whose tables pass the key-set test (_block_clean)
+    is decided whole; the other blocks, and every block for h >= 3, are
+    walked pattern by pattern, one check each (an h x h rank computation
+    for h >= 3).  Either way the counts, the first failure and the
+    verdict are those of a walk over every covered pattern.
     """
     t0 = perf_counter()
-    spec = P.spec
     report = _gate(P, budget, sample)
     if report is not None:
         report.elapsed = perf_counter() - t0
         return report
-    total = pattern_count(spec)
+    total = pattern_count(P.spec)
     step = 1 if sample is None else max(1, total // sample)
-    if sample is not None:
-        sampled = len(range(0, total, step))
-        if _certified(P, sampled):
-            return VerifyReport(True, sampled, None, sampled, perf_counter() - t0)
-    h, r = spec.h, spec.r
-    tables, key_sets = _tables(P)
-    independent = _independent(spec.tower.field("top"), h)
-    checked = 0
-    failure = None
-    for ranks, first, count in _blocks(spec, step):
-        if _block_clean([row[rk] for row, rk in zip(key_sets, ranks)]):
-            checked += count
-            continue
-        pg, rest = _block(spec, ranks)
-        # each extra is looked up in the table of its own group
-        by_group = [row[rk] for row, rk in zip(tables, ranks)]
-        for extra in _strided_combinations(rest, h, step, first):
-            checked += 1
-            if not independent([by_group[c // r][c] for c in extra]):
-                failure = ErasurePattern(per_group=pg, extra=extra)
-                break
-        if failure is not None:
-            break
+    covered = -(-total // step)  # the patterns at 0, step, 2*step, ...
+    if _certified(P, covered):
+        checked, failure = covered, None
+    else:
+        checked, failure = _block_walk(P, step)
     return VerifyReport(failure is None, checked, failure,
                         None if sample is None else checked,
                         perf_counter() - t0,
@@ -652,39 +691,35 @@ def verify_mr_structured(P: MrParityCheck,
     these).  A maximal pattern is recoverable iff the h columns of its
     groups have rank h, so one check per support (at most h groups, a
     composition of h into parts of at most r - delta, one erased set
-    per group: _supports, shared with the sampled verify_mr) covers
-    every pattern; the check is verify_mr's (_independent) on the same
-    tables (_tables), and `checks` counts one per support.  Gate, budget
-    and the success report are those of verify_mr, plus `checks`; when a
-    check fails the dense walk (verify_mr, on the tables already built)
-    locates the first counterexample and its report is returned, its
-    `checks` counting the supports checked plus the patterns the walk
-    decided.
+    per group) covers every pattern.  The support walk (_support_walk)
+    is the one verify_mr's h >= 3 certificate runs, with verify_mr's
+    check (_independent) on the same tables (_tables), and `checks`
+    counts one per support.  Gate, budget and the success report are
+    those of verify_mr, plus `checks`.  When a support fails, verify_mr
+    itself (on the tables already built) locates the first
+    counterexample and its report is returned, its `checks` counting
+    the supports checked plus the patterns its walk decided; for
+    h >= 3 its certificate first runs the support walk again, up to the
+    same dependent support, before the dense walk starts.
     """
     t0 = perf_counter()
-    spec = P.spec
     report = _gate(P, budget, None)
     if report is not None:
         report.elapsed = perf_counter() - t0
         return report
-    tables, _ = _tables(P)
-    independent = _independent(spec.tower.field("top"), spec.h)
-    checks = 0
-    for cols in _supports(P, tables):
-        checks += 1
-        if independent(cols):
-            continue
-        report = verify_mr(P, budget)
-        if report.ok:
-            raise AssertionError(
-                "structured verifier found a dependent support "
-                "that the dense walk accepts"
-            )
-        report.checks = checks + report.patterns_checked
-        report.elapsed = perf_counter() - t0
-        return report
-    return VerifyReport(True, pattern_count(spec), None, None, perf_counter() - t0,
-                        checks=checks)
+    ok, checks = _support_walk(P)
+    if ok:
+        return VerifyReport(True, pattern_count(P.spec), None, None,
+                            perf_counter() - t0, checks=checks)
+    report = verify_mr(P, budget)
+    if report.ok:
+        raise AssertionError(
+            "structured verifier found a dependent support "
+            "that the dense walk accepts"
+        )
+    report.checks = checks + report.patterns_checked
+    report.elapsed = perf_counter() - t0
+    return report
 
 
 # -- codec --------------------------------------------------------------

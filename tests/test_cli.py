@@ -744,3 +744,43 @@ def test_decode_without_erasures_checks_the_word(tmp_path, capsys):
         else:
             assert stdout == "decoded erasures=0\n"
             assert fileio.parse_vector(rec.read_text()) == cw
+
+
+def test_sample_past_2_63_counts_by_ceiling_division(tmp_path, capsys):
+    from mrlrc.mr import pattern_count
+
+    out = tmp_path / "gv32.mr"
+    run(capsys, "construct", "--p", "2", "--r", "4", "--h", "2", "--delta", "1",
+        "--n", "32", "--sdss", "gv", "--out", str(out))
+    total = pattern_count(fileio.parse_mr(out.read_text()).spec)
+    sample = 10**19
+    step = total // sample
+    want = -(-total // step)
+    assert want > 2**63
+    code, stdout, err = run(capsys, "verify", "--in", str(out), "--sample", str(sample))
+    assert (code, err) == (0, "")
+    assert _without_elapsed(stdout) == [f"ok patterns_checked={want} sampled={want}"]
+
+
+def _wide_code(path, h):
+    """A hand-built code over F_{2^16} with delta = 1, n = h and r = h + 1,
+    its alphas drawn from a seeded generator."""
+    import random
+
+    from mrlrc.mr import MrCodeSpec, MrParityCheck, local_parity_check, moore_matrix
+
+    t = make_tower(2, 1, 16)
+    spec = MrCodeSpec(n=h, r=h + 1, h=h, delta=1, tower=t)
+    rnd = random.Random(h)
+    D = [moore_matrix(t, [rnd.randrange(1, 2**16) for _ in range(spec.r)], h)
+         for _ in range(spec.n)]
+    path.write_text(fileio.format_mr(MrParityCheck(spec, local_parity_check(t, spec.r, 1), D)))
+
+
+def test_sampled_verify_of_a_wide_h10_code_returns_a_verdict(tmp_path):
+    # the code has 2^9 compositions of h = 10 and about 10^18 supports:
+    # counting them must not list the 10^10 tuples of parts up to 10
+    _wide_code(tmp_path / "w10.mr", 10)
+    proc = _child(["-m", "mrlrc", "verify", "--in", "w10.mr", "--sample", "100"], tmp_path)
+    assert proc.returncode in (0, 1) and proc.stderr == ""
+    assert proc.stdout.startswith(("ok patterns_checked=", "FAIL patterns_checked="))

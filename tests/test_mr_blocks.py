@@ -5,6 +5,7 @@ per-pattern oracle, and which blocks it unranks."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mrlrc import mr
+from mrlrc.gf import make_tower
 from mrlrc.linalg import FieldMatrix, columns_independent, is_mds_parity_check, solve
 from mrlrc.mr import (
     MrParityCheck,
@@ -206,6 +208,7 @@ def test_last_group_corruption_unranks_only_unclean_blocks(monkeypatch, name, sa
 
 def test_h3_blocks_are_all_walked(monkeypatch):
     pools = count_unranked(monkeypatch)
+    cleans = counted(monkeypatch, "_block_clean")
     P = base_code(2, 1, 3, 3, 1, 4)
     report = verify_mr(P, sample=100)
     spec = P.spec
@@ -214,6 +217,8 @@ def test_h3_blocks_are_all_walked(monkeypatch):
     step = max(1, total // 100)
     assert report.ok
     assert len(pools) == len({i // extras_total for i in range(0, total, step)})
+    # no h >= 3 block can pass the key-set test, so none is asked it
+    assert cleans == []
 
 
 # -- the whole-code certificate a sampled walk tries first ----------------------
@@ -263,13 +268,14 @@ def corrupt_moore(P, kind, rnd):
 @given(code=st.sampled_from(CERT_CODES),
        kind=st.sampled_from(("none", "copy", "zero", "equal", "random")),
        # samples below and above the 144 supports of the F_2, h = 3 code
-       sample=st.one_of(st.integers(1, 300), st.integers(300, 5000)),
+       # and exhaustive (None), which the certificate decides too
+       sample=st.one_of(st.none(), st.integers(1, 300), st.integers(300, 5000)),
        rnd=st.randoms(use_true_random=False))
 def test_certificate_matches_the_walk_and_the_reference(code, kind, sample, rnd):
     P = corrupt_moore(base_code(*code), kind, rnd)
     report = verify_mr(P, sample=sample)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(mr, "_certified", lambda P, sampled: False)
+        m.setattr(mr, "_certified", lambda P, covered: False)
         walked = verify_mr(P, sample=sample)
     assert without_elapsed(report) == without_elapsed(walked)
     if report.patterns_checked <= 1000:
@@ -327,3 +333,44 @@ def test_support_count_is_the_supports_walked(code):
     tables, _ = mr._tables(P)
     assert mr._support_count(P.spec) == sum(1 for _ in mr._supports(P, tables))
     assert mr._support_count(P.spec) == verify_mr_structured(P).checks
+
+
+@pytest.mark.parametrize("code", CERT_CODES)
+def test_exhaustive_certified_code_visits_no_block(monkeypatch, code):
+    P = base_code(*code)
+    pools = count_unranked(monkeypatch)
+    ranks = counted(monkeypatch, "_ranks")
+    report = verify_mr(P)
+    assert (report.ok, report.patterns_checked, report.sampled) == (
+        True, pattern_count(P.spec), None)
+    assert pools == [] and ranks == []
+
+
+def filtered_compositions(h, max_e, most):
+    """The compositions of h as the filter over every tuple of parts up to
+    max_e, by number of parts: the oracle for the direct generator."""
+    for size in range(1, min(h, most) + 1):
+        for parts in product(range(1, max_e + 1), repeat=size):
+            if sum(parts) == h:
+                yield parts
+
+
+def test_compositions_are_the_filtered_tuples_in_order():
+    for h, max_e, most in product(range(7), repeat=3):
+        assert list(mr._compositions(h, max_e, most)) == list(
+            filtered_compositions(h, max_e, most)), (h, max_e, most)
+
+
+# (n, r, h, delta): one group, h above and below r - delta, delta = 2
+@pytest.mark.parametrize("n, r, h, delta", [
+    (1, 5, 2, 1), (3, 3, 3, 1), (4, 6, 5, 2), (7, 4, 6, 1), (6, 7, 6, 1)])
+def test_support_count_is_the_sum_over_compositions(n, r, h, delta):
+    spec = mr.MrCodeSpec(n=n, r=r, h=h, delta=delta, tower=make_tower(2))
+    max_e = min(h, r - delta)
+    want = 0
+    for parts in filtered_compositions(h, max_e, n):
+        ways = comb(n, len(parts))
+        for e in parts:
+            ways *= comb(r, delta + e)
+        want += ways
+    assert mr._support_count(spec) == want
