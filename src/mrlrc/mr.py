@@ -38,7 +38,7 @@ from __future__ import annotations
 from _thread import allocate_lock
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from time import perf_counter
 
 from . import config
@@ -534,21 +534,12 @@ def _compositions(h: int, max_e: int, most: int):
 
 
 def _support_count(spec: MrCodeSpec) -> int:
-    """How many supports _supports yields, without listing them or the
-    compositions: those on k groups are C(n, k) choices of groups times
-    the sum, over the compositions of h into k parts e, of the products
-    of C(r, delta + e) erased sets per part.  Round k turns ways[s],
-    that sum for s into k - 1 parts, into the sum for k parts."""
-    n, r, h, delta = spec.n, spec.r, spec.h, spec.delta
-    max_e = min(h, r - delta)
-    sets = [comb(r, delta + e) for e in range(max_e + 1)]
-    ways = [1] + [0] * h
-    count = 0
-    for k in range(1, min(h, n) + 1):
-        ways = [sum(ways[s - e] * sets[e] for e in range(1, min(s, max_e) + 1))
-                for s in range(h + 1)]
-        count += comb(n, k) * ways[h]
-    return count
+    """How many supports _supports yields, in closed form: per
+    composition, C(n, parts) choices of groups times C(r, delta + e)
+    erased sets per group erased on delta + e positions."""
+    n, r, delta = spec.n, spec.r, spec.delta
+    return sum(comb(n, len(parts)) * prod(comb(r, delta + e) for e in parts)
+               for parts in _compositions(spec.h, min(spec.h, r - delta), n))
 
 
 def _supports(P: MrParityCheck, tables):

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mrlrc import mr
-from mrlrc.gf import make_tower
 from mrlrc.linalg import FieldMatrix, columns_independent, is_mds_parity_check, solve
 from mrlrc.mr import (
     MrParityCheck,
@@ -360,17 +359,3 @@ def test_compositions_are_the_filtered_tuples_in_order():
         assert list(mr._compositions(h, max_e, most)) == list(
             filtered_compositions(h, max_e, most)), (h, max_e, most)
 
-
-# (n, r, h, delta): one group, h above and below r - delta, delta = 2
-@pytest.mark.parametrize("n, r, h, delta", [
-    (1, 5, 2, 1), (3, 3, 3, 1), (4, 6, 5, 2), (7, 4, 6, 1), (6, 7, 6, 1)])
-def test_support_count_is_the_sum_over_compositions(n, r, h, delta):
-    spec = mr.MrCodeSpec(n=n, r=r, h=h, delta=delta, tower=make_tower(2))
-    max_e = min(h, r - delta)
-    want = 0
-    for parts in filtered_compositions(h, max_e, n):
-        ways = comb(n, len(parts))
-        for e in parts:
-            ways *= comb(r, delta + e)
-        want += ways
-    assert mr._support_count(spec) == want
