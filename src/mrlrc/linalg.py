@@ -4,9 +4,11 @@ Matrices are immutable row-major lists of int element codes.  One
 Gaussian elimination kernel, `_echelonize` (deterministic pivoting:
 first nonzero entry per column, columns scanned left to right), is
 behind `rref`, `rank`, `solve`, `kernel`, `det` and every rank check in
-the package.  `first_dependent_subset` is the package's one walk over
-the k-subsets of groups of rows that must stay independent: MDS column
-checks, direct sums of subspaces, block distances.
+the package on lists of field elements; F_2 vectors packed into ints
+are ranked by one XOR basis (`_xor_rank`).  `first_dependent_subset`
+is the package's one walk over the k-subsets of groups of rows that
+must stay independent: MDS column checks, direct sums of subspaces,
+block distances.
 """
 
 from __future__ import annotations
@@ -196,6 +198,23 @@ def _rank_rows(F: Field, row_lists) -> int:
     """Rank of a list of coefficient rows (consumed as scratch)."""
     work = [list(r) for r in row_lists]
     return len(_echelonize(F, work, reduced=False))
+
+
+def _xor_rank(rows) -> int:
+    """Rank over F_2 of vectors packed into ints (bit j is coordinate j),
+    by one XOR basis keyed by leading bit: a vector is reduced by the
+    basis vector that has its leading bit until it is 0 (dependent) or
+    its leading bit is new (it joins the basis)."""
+    basis = {}
+    for v in rows:
+        while v:
+            lead = v.bit_length()
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = v
+                break
+            v ^= b
+    return len(basis)
 
 
 def det(M: FieldMatrix) -> int:

@@ -13,10 +13,18 @@ positions carry its local pivots, so a pattern costs one check that its
 h extras, reduced against them, are independent (verify_mr); the
 structured verifier reaches the same verdict with one such check per
 erased support.  Both verifiers pass one gate (_gate) and read one
-store (_tables): every table of reduced columns (_reduced_columns),
-derived once per parity check, and one check (_independent) decides
-them.  For h <= 2 a check compares the columns' projective keys; for
-h >= 3 it is one h x h rank computation.  One certificate for the
+store (_tables): every table of the reduced columns (_table), derived
+once per parity check, and the one check that decides them
+(_independent).  On a Moore code, which every builder makes, a reduced
+column is the Moore column of an F_q-combination of the alphas, its
+generator (_generators), and h such columns are independent iff their
+generators are F_q-independent (Lidl-Niederreiter, Lemma 3.51): the
+tables hold generators and every check is made over F_q, with no
+top-field arithmetic.  Any other code keeps the reduced columns over
+F_ell (_reduced_columns).  For h <= 2 a check compares the columns'
+keys (F_q-lines of the generators, or projective points of the reduced
+columns); for h >= 3 it is one rank of h generators over F_q, or of
+the h x h reduced columns over F_ell.  One certificate for the
 whole code decides every verify_mr run, exhaustive or sampled
 (_certified: no key owned by two groups for h <= 2, the one support
 walk of the structured verifier for h >= 3), since when it holds every
@@ -24,7 +32,8 @@ pattern passes; the patterns are walked (_block_walk) only when it
 fails, to find the first failure, and for h <= 2 that walk decides a
 block whole from its tables' key sets, walking pattern by pattern only
 the blocks that test leaves open.  Every rank computation, determinant
-and subset check goes through the shared kernel in linalg.
+and subset check goes through the shared kernel in linalg, or for F_2
+generators packed into ints through its XOR basis (_xor_rank).
 
 The erasure codec decodes an erased set densely the first time it sees
 it and from a cached decode plan when the set comes back, with the
@@ -56,6 +65,7 @@ from .linalg import (
     _rank_rows,
     _strided_combinations,
     _unrank_combination,
+    _xor_rank,
 )
 from .record import FrozenRecord, Record
 from .sdss import SubspaceSystem
@@ -424,6 +434,75 @@ def _reduced_columns(P: MrParityCheck, g: int, S: tuple[int, ...]) -> dict:
     return out
 
 
+def _generators(P: MrParityCheck, g: int, S: tuple[int, ...]) -> dict:
+    """Column c -> beta(S, c) = alpha_c - sum_s y_s alpha_S[s], with
+    y = (A|_S)^-1 A[:, c] over F_q, for the columns c of group g outside
+    its delta-subset S (absolute positions), when D_g is the Moore block
+    of the alphas: the F_q scalars y commute with x -> x^q, so w(S, c)
+    (_reduced_columns) is the Moore column of beta(S, c).  beta is an int
+    of bits for q = 2 and else the tuple of its F_q digits; it is formed
+    by digit arithmetic, with no product in the top field."""
+    spec = P.spec
+    t = spec.tower
+    Fq, q = t.field("mid"), t.q
+    r, delta = spec.r, spec.delta
+    local = [c - g * r for c in S]
+    rest = [j for j in range(r) if j not in local]
+    work = [[P.A.at(s, j) for j in local + rest] for s in range(delta)]
+    if _echelonize(Fq, work) != list(range(delta)):
+        raise AssertionError("MDS local block has a singular delta-subset")
+    # work is now [I | (A|_S)^-1 A|_rest] over F_q
+    alphas = P.D[g].row(0)
+    if q != 2:
+        alphas = [t.top_to_vec(a) for a in alphas]
+        sub, mul = Fq.sub, Fq.mul
+    out = {}
+    for k, j in enumerate(rest, start=delta):
+        beta = alphas[j]
+        for s, i in enumerate(local):
+            y = work[s][k]
+            if not y:
+                continue
+            if q == 2:
+                beta ^= alphas[i]
+            else:
+                beta = [sub(b, mul(y, a)) for b, a in zip(beta, alphas[i])]
+        out[g * r + j] = beta if q == 2 else tuple(beta)
+    return out
+
+
+def _line_key(Fq, beta):
+    """The F_q-line of a Moore generator (_generators) as its h <= 2 key,
+    or None when beta = 0: beta itself for q = 2, else its digits scaled
+    so that the first nonzero one is 1.  For h = 2 the projective key of
+    beta's Moore column is beta^q / beta = beta^(q-1), which is one to
+    one on F_q-lines too, so both keys make the same comparisons."""
+    if Fq.size == 2:
+        return beta or None
+    lead = next((d for d in beta if d), 0)
+    if not lead:
+        return None
+    f = Fq.inv(lead)
+    return tuple(Fq.mul(f, d) for d in beta)
+
+
+def _table(P: MrParityCheck, g: int, S: tuple[int, ...], moore: bool) -> dict:
+    """One table of the store (_tables): group g's columns off its
+    delta-subset S, each mapped to what the store's check reads.  On a
+    Moore code (moore True) that is the column's Moore generator
+    (_generators), as its F_q-line key for h <= 2 (_line_key); otherwise
+    its reduced column (_reduced_columns), as its projective key for
+    h <= 2 (_projective_key)."""
+    spec = P.spec
+    if moore:
+        Fq = spec.tower.field("mid")
+        betas = _generators(P, g, S)
+        return {c: _line_key(Fq, b) for c, b in betas.items()} if spec.h <= 2 else betas
+    F = spec.tower.field("top")
+    cols = _reduced_columns(P, g, S)
+    return {c: _projective_key(F, w) for c, w in cols.items()} if spec.h <= 2 else cols
+
+
 def _projective_key(F, w: list[int]):
     """The point w spans for h <= 2 global rows, or None when w = 0:
     for h = 1 every nonzero w is the one point 0; for h = 2 it is
@@ -444,11 +523,14 @@ def _keys_independent(keys) -> bool:
 
 
 def _independent(F, h: int):
-    """The one check of h reduced columns, given as the tables hold them
-    (_tables): for h <= 2 it compares their projective keys
-    (_keys_independent); for h >= 3 it is one h x h rank computation."""
+    """The one check of h table entries (_tables): for h <= 2 it compares
+    their keys (_keys_independent); for h >= 3 it is their rank over F,
+    one XOR basis (linalg._xor_rank) when F is None and the entries are
+    F_2 vectors packed into ints."""
     if h <= 2:
         return _keys_independent
+    if F is None:
+        return lambda cols: _xor_rank(cols) == h
     return lambda cols: _rank_rows(F, cols) == h
 
 
@@ -475,22 +557,33 @@ def _block_clean(key_sets: list) -> bool:
 def _tables(P: MrParityCheck):
     """The store both verifiers read, derived whole on first use and kept
     on P: per group g and subset index k (_subsets), the table of group
-    g's columns off its k-th delta-subset (_reduced_columns), mapping
-    each column to its projective key for h <= 2 and to w(S, c) itself
-    for h >= 3, and for h <= 2 the tables' key sets (_key_set; None as a
-    whole for h >= 3, where no block can be decided whole).
+    g's columns off its k-th delta-subset (_table), for h <= 2 the
+    tables' key sets (_key_set; None as a whole for h >= 3, where no
+    block can be decided whole), and the one check of h entries
+    (_independent).
+
+    When A is over F_q and every block of D is a Moore matrix (_is_moore,
+    run here because fileio.parse_mr loads blocks unchecked), a table
+    holds Moore generators and the check works over F_q: h Moore columns
+    are independent iff their generators are F_q-independent
+    (Lidl-Niederreiter, Finite Fields, Lemma 3.51), so every decision is
+    the one the reduced columns give, and no top-field table is built.
+    Any other code keeps the reduced columns and their F_ell ranks.
     Read only past the gate, whose MDS test makes every A|_S invertible."""
     if P._tables is None:
         spec = P.spec
-        F, h, r = spec.tower.field("top"), spec.h, spec.r
-
-        def table(g, S):
-            cols = _reduced_columns(P, g, tuple(g * r + j for j in S))
-            return {c: _projective_key(F, w) for c, w in cols.items()} if h <= 2 else cols
-
-        tables = [[table(g, S) for S in _subsets(r, spec.delta)] for g in range(spec.n)]
-        key_sets = [[_key_set(t, h) for t in row] for row in tables] if h <= 2 else None
-        P._tables = tables, key_sets
+        t, h, r = spec.tower, spec.h, spec.r
+        moore = P.A.level == "mid" and all(_is_moore(t, Di) for Di in P.D)
+        tables = [[_table(P, g, tuple(g * r + j for j in S), moore)
+                   for S in _subsets(r, spec.delta)] for g in range(spec.n)]
+        key_sets = [[_key_set(tb, h) for tb in row] for row in tables] if h <= 2 else None
+        if not moore:
+            F = t.field("top")
+        elif t.q == 2:
+            F = None  # the generators are ints of bits
+        else:
+            F = t.field("mid")
+        P._tables = tables, key_sets, _independent(F, h)
     return P._tables
 
 
@@ -568,10 +661,9 @@ def _support_walk(P: MrParityCheck) -> tuple[bool, int]:
     """Every support (_supports) in order, each decided by the one check
     (_independent) on P's tables, up to the first dependent one: (all
     independent, supports checked)."""
-    spec = P.spec
-    independent = _independent(spec.tower.field("top"), spec.h)
+    tables, _, independent = _tables(P)
     checks = 0
-    for checks, cols in enumerate(_supports(P, _tables(P)[0]), 1):
+    for checks, cols in enumerate(_supports(P, tables), 1):
         if not independent(cols):
             return False, checks
     return True, checks
@@ -604,8 +696,7 @@ def _block_walk(P: MrParityCheck, step: int) -> tuple[int, ErasurePattern | None
     one check (_independent) each."""
     spec = P.spec
     h, r = spec.h, spec.r
-    tables, key_sets = _tables(P)
-    independent = _independent(spec.tower.field("top"), h)
+    tables, key_sets, independent = _tables(P)
     checked = 0
     for ranks, first, count in _blocks(spec, step):
         if key_sets is not None and _block_clean(
@@ -637,7 +728,11 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     the group's local pivots, so (b) holds iff the h extras, reduced
     against them, are independent (_independent), read off P's tables
     (_tables, one per group and subset, shared with
-    verify_mr_structured).  One certificate for the whole code then
+    verify_mr_structured).  On a Moore code the tables hold the Moore
+    generators of the reduced columns and every check is made over F_q
+    (Lemma 3.51), so no top-field table is built; a code with a block
+    that is not Moore is checked on the reduced columns over F_ell, with
+    the same decisions.  One certificate for the whole code then
     decides every run, exhaustive or sampled (_certified): for h <= 2
     no key undefined, no equal keys within a table and no key in two
     groups' tables; for h >= 3 every structured support, when there are
@@ -647,9 +742,10 @@ def verify_mr(P: MrParityCheck, budget: int | None = None,
     the first failure: for h <= 2 a block (the patterns sharing their
     per-group subsets) whose tables pass the key-set test (_block_clean)
     is decided whole; the other blocks, and every block for h >= 3, are
-    walked pattern by pattern, one check each (an h x h rank computation
-    for h >= 3).  Either way the counts, the first failure and the
-    verdict are those of a walk over every covered pattern.
+    walked pattern by pattern, one check each (a rank of h generators or
+    reduced columns for h >= 3).  Either way the counts, the first
+    failure and the verdict are those of a walk over every covered
+    pattern.
     """
     t0 = perf_counter()
     report = _gate(P, budget, sample)
@@ -691,7 +787,8 @@ def verify_mr_structured(P: MrParityCheck,
     counterexample and its report is returned, its `checks` counting
     the supports checked plus the patterns its walk decided; for
     h >= 3 its certificate first runs the support walk again, up to the
-    same dependent support, before the dense walk starts.
+    same dependent support, before the dense walk starts, and `checks`
+    counts those supports twice.
     """
     t0 = perf_counter()
     report = _gate(P, budget, None)
@@ -708,7 +805,8 @@ def verify_mr_structured(P: MrParityCheck,
             "structured verifier found a dependent support "
             "that the dense walk accepts"
         )
-    report.checks = checks + report.patterns_checked
+    # for h >= 3 verify_mr's certificate walked the same supports again
+    report.checks = checks * (2 if P.spec.h >= 3 else 1) + report.patterns_checked
     report.elapsed = perf_counter() - t0
     return report
 

@@ -12,6 +12,7 @@ from mrlrc.linalg import (
     _rank_rows,
     _strided_combinations,
     _unrank_combination,
+    _xor_rank,
     columns_independent,
     first_dependent_subset,
     is_mds_parity_check,
@@ -207,6 +208,19 @@ def test_strided_combinations_match_sliced_lexicographic_order():
             tuple(pool[i] for i in sel) for sel in want]
 
     check()
+
+
+def test_xor_rank_matches_the_rank_over_f2():
+    # random bit vectors, and rows planted as XORs of earlier rows
+    rng = random.Random(11)
+    F = F2.field("prime")
+    for trial in range(400):
+        width, count = rng.randint(1, 12), rng.randint(0, 6)
+        rows = [rng.randrange(1 << width) for _ in range(count)]
+        if rows and trial % 2:
+            rows.append(rows[0] ^ rows[-1])
+        bits = [[(v >> j) & 1 for j in range(width)] for v in rows]
+        assert _xor_rank(rows) == _rank_rows(F, bits), rows
 
 
 def test_first_dependent_subset_strided_matches_filtered_walk():

@@ -261,17 +261,22 @@ def test_structured_checks_match_the_closed_form(code, known):
 
 
 def test_one_parity_check_derives_each_table_once(monkeypatch):
+    # on the Moore route, then with _is_moore refusing on the F_ell route
     P = base_code(2, 1, 3, 2, 1, 5)
-    bad = MrParityCheck(P.spec, P.A, [P.D[0], P.D[0]] + P.D[2:])
-    calls = []
-    real = mr._reduced_columns
+    real = mr._table
+    for moore in (True, False):
+        bad = MrParityCheck(P.spec, P.A, [P.D[0], P.D[0]] + P.D[2:])
+        calls = []
 
-    def counted(P, g, S):
-        calls.append((g, S))
-        return real(P, g, S)
+        def counted(P, g, S, route):
+            calls.append((g, S, route))
+            return real(P, g, S, route)
 
-    monkeypatch.setattr(mr, "_reduced_columns", counted)
-    assert not verify_mr_structured(bad).ok  # the failing path walks densely
-    assert verify_mr(bad, sample=7).sampled == 8
-    spec = bad.spec
-    assert len(calls) == len(set(calls)) == spec.n * comb(spec.r, spec.delta)
+        monkeypatch.setattr(mr, "_table", counted)
+        if not moore:
+            monkeypatch.setattr(mr, "_is_moore", lambda t, M: False)
+        assert not verify_mr_structured(bad).ok  # the failing path walks densely
+        assert verify_mr(bad, sample=7).sampled == 8
+        spec = bad.spec
+        assert len(calls) == len(set(calls)) == spec.n * comb(spec.r, spec.delta)
+        assert {route for _, _, route in calls} == {moore}
