@@ -4,15 +4,23 @@ Subcommands: construct, verify, bounds, encode, decode, sdss.
 Exit codes are a stable contract: 0 success, 1 domain-level negative
 result (verification FAIL, UNDECODABLE), 2 usage, file format or
 file access error, 3 enumeration budget exceeded, 4 internal error (a
-broken invariant of the package or any other unexpected exception,
-reported in one line).  Every construction is
-deterministic, so repeated runs produce byte-identical files.
+broken invariant of the package or any other unexpected exception).
+An error is reported as one ``error: ...`` line on stderr; a usage
+error (no or an unknown command, an unknown or ambiguous option, a
+missing or malformed value, an extra positional) also prints nothing
+on stdout.  ``--help`` prints a listing on stdout and exits 0.  Every
+construction is deterministic, so repeated runs produce byte-identical
+files.
+
+The options of every command are one table, ``_COMMANDS``, read by
+``_parse`` as argparse read them, without argparse: its imports would
+be most of the start-up of a command.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import fileio, mr, sdss
 from .codes import bch_parity_check, rs_parity_check
@@ -26,84 +34,150 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _add_tower_args(p):
-    p.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
-    p.add_argument("--a", type=int, default=1, help="degree of F_q over F_p (q = p^a)")
+# One row per option: (option strings, dest, type, default, help).  The type
+# is int, str, a tuple of choices, bool for a flag or None for help; a row
+# named without dashes is a positional.
+_REQUIRED = object()
+_HELP = ("-h --help", "help", None, None, "show this listing and exit")
+_TOWER = (("--p", "p", int, _REQUIRED, "field characteristic (prime)"),
+          ("--a", "a", int, 1, "degree of F_q over F_p (q = p^a)"))
+_NRH = (("--n", "n", int, _REQUIRED, "number of local groups"),
+        ("--r", "r", int, _REQUIRED, "local group size"),
+        ("--h", "h", int, _REQUIRED, "global parities"))
+# options of a system build; one a method never reads is refused (_sdss_builder)
+_SYSTEM = _TOWER + _NRH + (
+    ("--sdss", "sdss", ("gv", "mds", "subfield"), "mds", "subspace system construction"),
+    ("--u", "u", int, None, "subfield construction degree (--sdss subfield only; default 1)"),
+    ("--m", "m", int, None, "ambient dimension for --sdss gv or mds (default: the method's)"))
+_COMMON = (
+    ("--budget", "budget", int, None, "override the enumeration budgets"),
+    ("--seedless", "seedless", bool, False, "accepted; constructions are always deterministic"),
+    ("-v --verbose", "verbose", bool, False, "report more"))
+_MR_IN = ("--in", "infile", str, _REQUIRED, "MR parity file")
+_COMMANDS = {  # command: (help, option rows)
+    "construct": ("build an MR code (and its subspace system)", _SYSTEM + (
+        ("--out", "out", str, _REQUIRED, "MR parity file path"),
+        ("--delta", "delta", int, _REQUIRED, "local parities per group"),
+        ("--method", "method", ("direct", "concat"), "direct", "construction method"),
+        ("--inner", "inner", str, None, "concat inner code: bch:<r>:<delta> or rs:<r>:<s>"),
+        ("--sdss-out", "sdss_out", str, None, "subspace system file path (default: <out>.sdss)"),
+    ) + _COMMON),
+    "sdss": ("build a subspace direct sum system alone", _SYSTEM + (
+        ("--out", "out", str, _REQUIRED, "subspace system file path"),) + _COMMON),
+    "verify": ("re-verify a stored artifact by enumeration", (
+        ("--in", "infile", str, _REQUIRED, "MR parity or subspace system file"),
+        ("--sample", "sample", int, None, "check an evenly strided sample, not everything"),
+    ) + _COMMON),
+    "bounds": ("ambient-dimension bounds for given parameters", _TOWER + _NRH + (
+        ("--achieved", "achieved", str, None, "subspace system file to compare"),) + _COMMON),
+    "encode": ("encode a message file", (
+        _MR_IN, ("message", "message", str, _REQUIRED, "message file, one element code per line"),
+        ("--out", "out", str, _REQUIRED, "codeword file path")) + _COMMON),
+    "decode": ("fill erased positions of a received word", (
+        _MR_IN, ("received", "received", str, _REQUIRED, "received file, one code per line"),
+        ("--erasures", "erasures", str, "", "comma-separated erased positions"),
+        ("--out", "out", str, _REQUIRED, "decoded codeword file path")) + _COMMON),
+}
 
 
-def _add_common(p):
-    p.add_argument("--budget", type=int, default=None,
-                   help="override the enumeration budgets")
-    p.add_argument("--seedless", action="store_true",
-                   help="accepted for compatibility; constructions are always deterministic")
-    p.add_argument("-v", "--verbose", action="store_true")
+def _usage(row, message: str) -> ParameterError:
+    return ParameterError(f"argument {row[0].replace(' ', '/')}: {message}")
 
 
-def _add_system_args(p, out_help):
-    """Options of a system build, shared by construct and sdss; one a
-    method never reads is refused (_sdss_builder), never ignored."""
-    _add_tower_args(p)
-    p.add_argument("--n", type=int, required=True, help="number of local groups")
-    p.add_argument("--r", type=int, required=True, help="local group size")
-    p.add_argument("--h", type=int, required=True, help="global parities")
-    p.add_argument("--sdss", choices=("gv", "mds", "subfield"), default="mds")
-    p.add_argument("--u", type=int, default=None,
-                   help="subfield construction degree (--sdss subfield only; default 1)")
-    p.add_argument("--m", type=int, default=None,
-                   help="ambient dimension for --sdss gv or mds (default: the method's value)")
-    p.add_argument("--out", required=True, help=out_help)
+def _value(row, text: str):
+    """text read as the value of row's option, checked as argparse checks it."""
+    try:
+        value = int(text) if row[2] is int else text
+    except ValueError:
+        raise _usage(row, f"invalid int value: {text!r}") from None
+    if isinstance(row[2], tuple) and value not in row[2]:
+        raise _usage(row, f"invalid choice: {text!r} (choose from {', '.join(map(repr, row[2]))})")
+    return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="mrlrc",
-        description="Construct, verify and run maximally recoverable local reconstruction codes.",
-    )
-    sub = ap.add_subparsers(dest="cmd", required=True)
+def _match(tok: str, names: dict):
+    """tok read against the option strings in names as argparse reads it:
+    None for a value or a positional, else (row, explicit value), row None
+    for an unknown option."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    name, eq, explicit = tok.partition("=")
+    if name in names:
+        return names[name], explicit if eq else None
+    if tok[1] == "-":  # a unique prefix names a long option
+        hits, explicit = [n for n in names if n.startswith(name)], explicit if eq else None
+    else:  # -vx is -v with the value x
+        hits, explicit = [n for n in names if n == tok[:2]], tok[2:]
+    if len(hits) > 1:
+        raise ParameterError(f"ambiguous option: {tok!r} could match {', '.join(hits)}")
+    if hits:
+        return names[hits[0]], explicit
+    whole, dot, frac = tok[1:].partition(".")
+    number = frac.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return None if number or " " in tok else (None, None)  # a negative number is a value
 
-    c = sub.add_parser("construct", help="build an MR code (and its subspace system)")
-    _add_system_args(c, "MR parity file path")
-    c.add_argument("--delta", type=int, required=True, help="local parities per group")
-    c.add_argument("--method", choices=("direct", "concat"), default="direct")
-    c.add_argument("--inner", default=None,
-                   help="inner code for --method concat: bch:<r>:<delta> or rs:<r>:<s>")
-    c.add_argument("--sdss-out", default=None,
-                   help="subspace system file path (default: <out>.sdss)")
-    _add_common(c)
 
-    s = sub.add_parser("sdss", help="build a subspace direct sum system alone")
-    _add_system_args(s, "subspace system file path")
-    _add_common(s)
+def _listing(cmds) -> str:
+    """The --help listing of the options of each command in cmds."""
+    lines = [f"usage: mrlrc {cmds[0] if len(cmds) == 1 else '<command>'} [options]"]
+    for cmd in cmds:
+        lines += ["", f"{cmd}  {_COMMANDS[cmd][0]}"]
+        for names, dest, kind, default, text in (_HELP,) + _COMMANDS[cmd][1]:
+            if isinstance(kind, tuple):
+                names += " {" + ",".join(kind) + "}"
+            elif kind in (int, str) and names[0] == "-":
+                names += " " + dest.upper()
+            lines.append(f"  {names:<26}{text}" + (" (required)" if default is _REQUIRED else ""))
+    return "\n".join(lines)
 
-    v = sub.add_parser("verify", help="re-verify a stored artifact by enumeration")
-    v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--sample", type=int, default=None,
-                   help="check an evenly strided sample instead of everything")
-    _add_common(v)
 
-    b = sub.add_parser("bounds", help="ambient-dimension bounds for given parameters")
-    _add_tower_args(b)
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--r", type=int, required=True)
-    b.add_argument("--h", type=int, required=True)
-    b.add_argument("--achieved", default=None,
-                   help="subspace system file to compare against the bounds")
-    _add_common(b)
-
-    e = sub.add_parser("encode", help="encode a message file")
-    e.add_argument("--in", dest="infile", required=True, help="MR parity file")
-    e.add_argument("message", help="message file, one element code per line")
-    e.add_argument("--out", required=True)
-    _add_common(e)
-
-    d = sub.add_parser("decode", help="fill erased positions of a received word")
-    d.add_argument("--in", dest="infile", required=True, help="MR parity file")
-    d.add_argument("received", help="received file, one element code per line")
-    d.add_argument("--erasures", default="",
-                   help="comma-separated erased positions (values at them are ignored)")
-    d.add_argument("--out", required=True)
-    _add_common(d)
-    return ap
+def _parse(argv: list):
+    """argv read against the command table as argparse read it: the namespace
+    of cmd and every option of the command, or None once a --help listing
+    is printed.  A usage error raises ParameterError."""
+    cmd, names, values, positional = None, {"-h": _HELP, "--help": _HELP}, {}, None
+    dashes = at = None  # where a "--" and the positional were read
+    j = 0
+    while j < len(argv):
+        tok, j = argv[j], j + 1
+        if tok == "--" and cmd is not None and dashes is None:
+            dashes = j - 1  # only values follow
+            continue
+        hit = None if tok == "--" or dashes is not None else _match(tok, names)
+        row, explicit = hit or (None, None)
+        if hit is None and cmd is None:
+            cmd = _value(("cmd", "cmd", tuple(_COMMANDS)), tok)
+            rows = _COMMANDS[cmd][1]
+            names = {n: row for row in (_HELP,) + rows for n in row[0].split() if n[0] == "-"}
+            values = {row[1]: row[3] for row in rows}
+            positional = next((row for row in rows if row[0][0] != "-"), None)
+        elif hit is None and positional and at is None:
+            values[positional[1]], at = _value(positional, tok), j - 1
+        elif row is None:
+            raise ParameterError(f"unrecognized arguments: {tok!r}")
+        elif row[2] in (bool, None):  # flags and --help; -vh is -v, then -h
+            flags = [row]
+            while explicit is not None and tok[1] != "-" and "-" + explicit[:1] in names:
+                flags.append(names["-" + explicit[0]])
+                explicit = explicit[1:] or None
+            if explicit is not None:
+                raise _usage(flags[-1], f"ignored explicit argument {explicit!r}")
+            for flag in flags:
+                if flag[2] is None:
+                    return print(_listing([cmd] if cmd else list(_COMMANDS)))
+                values[flag[1]] = True
+        elif explicit is not None:
+            values[row[1]] = _value(row, explicit)
+        elif j < len(argv) and argv[j] != "--" and _match(argv[j], names) is None:
+            values[row[1]], j = _value(row, argv[j]), j + 1
+        else:
+            raise _usage(row, "expected one argument")
+    if dashes is not None and at not in (dashes - 1, dashes + 1):
+        raise ParameterError("unrecognized arguments: '--'")  # kept only beside the positional
+    missing = [row[0] for row in rows if values[row[1]] is _REQUIRED] if cmd else ["cmd"]
+    if missing:
+        raise ParameterError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(cmd=cmd, **values)
 
 
 def _read(path: str) -> str:
@@ -344,8 +418,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:  # --help printed its listing
+            return EXIT_OK
         if args.budget is not None and args.budget < 1:
             raise ParameterError("--budget must be positive")
         return _HANDLERS[args.cmd](args)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import argparse
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -784,3 +787,309 @@ def test_sampled_verify_of_a_wide_h10_code_returns_a_verdict(tmp_path):
     proc = _child(["-m", "mrlrc", "verify", "--in", "w10.mr", "--sample", "100"], tmp_path)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.startswith(("ok patterns_checked=", "FAIL patterns_checked="))
+
+
+# -- the option table against the argparse parser it replaced -----------------
+#
+# _build_parser and its helpers are the argparse front end mrlrc used
+# before the option table, kept verbatim as the reference: every valid
+# argv must give the same attributes, and every argv it refuses must make
+# main return 2.
+
+
+def _add_tower_args(p):
+    p.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
+    p.add_argument("--a", type=int, default=1, help="degree of F_q over F_p (q = p^a)")
+
+
+def _add_common(p):
+    p.add_argument("--budget", type=int, default=None,
+                   help="override the enumeration budgets")
+    p.add_argument("--seedless", action="store_true",
+                   help="accepted for compatibility; constructions are always deterministic")
+    p.add_argument("-v", "--verbose", action="store_true")
+
+
+def _add_system_args(p, out_help):
+    """Options of a system build, shared by construct and sdss; one a
+    method never reads is refused (_sdss_builder), never ignored."""
+    _add_tower_args(p)
+    p.add_argument("--n", type=int, required=True, help="number of local groups")
+    p.add_argument("--r", type=int, required=True, help="local group size")
+    p.add_argument("--h", type=int, required=True, help="global parities")
+    p.add_argument("--sdss", choices=("gv", "mds", "subfield"), default="mds")
+    p.add_argument("--u", type=int, default=None,
+                   help="subfield construction degree (--sdss subfield only; default 1)")
+    p.add_argument("--m", type=int, default=None,
+                   help="ambient dimension for --sdss gv or mds (default: the method's value)")
+    p.add_argument("--out", required=True, help=out_help)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="mrlrc",
+        description="Construct, verify and run maximally recoverable local reconstruction codes.",
+    )
+    sub = ap.add_subparsers(dest="cmd", required=True)
+
+    c = sub.add_parser("construct", help="build an MR code (and its subspace system)")
+    _add_system_args(c, "MR parity file path")
+    c.add_argument("--delta", type=int, required=True, help="local parities per group")
+    c.add_argument("--method", choices=("direct", "concat"), default="direct")
+    c.add_argument("--inner", default=None,
+                   help="inner code for --method concat: bch:<r>:<delta> or rs:<r>:<s>")
+    c.add_argument("--sdss-out", default=None,
+                   help="subspace system file path (default: <out>.sdss)")
+    _add_common(c)
+
+    s = sub.add_parser("sdss", help="build a subspace direct sum system alone")
+    _add_system_args(s, "subspace system file path")
+    _add_common(s)
+
+    v = sub.add_parser("verify", help="re-verify a stored artifact by enumeration")
+    v.add_argument("--in", dest="infile", required=True)
+    v.add_argument("--sample", type=int, default=None,
+                   help="check an evenly strided sample instead of everything")
+    _add_common(v)
+
+    b = sub.add_parser("bounds", help="ambient-dimension bounds for given parameters")
+    _add_tower_args(b)
+    b.add_argument("--n", type=int, required=True)
+    b.add_argument("--r", type=int, required=True)
+    b.add_argument("--h", type=int, required=True)
+    b.add_argument("--achieved", default=None,
+                   help="subspace system file to compare against the bounds")
+    _add_common(b)
+
+    e = sub.add_parser("encode", help="encode a message file")
+    e.add_argument("--in", dest="infile", required=True, help="MR parity file")
+    e.add_argument("message", help="message file, one element code per line")
+    e.add_argument("--out", required=True)
+    _add_common(e)
+
+    d = sub.add_parser("decode", help="fill erased positions of a received word")
+    d.add_argument("--in", dest="infile", required=True, help="MR parity file")
+    d.add_argument("received", help="received file, one element code per line")
+    d.add_argument("--erasures", default="",
+                   help="comma-separated erased positions (values at them are ignored)")
+    d.add_argument("--out", required=True)
+    _add_common(d)
+    return ap
+
+
+def _reference(argv):
+    """argparse's reading of argv: the attributes it sets, or its exit code."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _subcommands():
+    """command -> its actions in the reference parser, --help left out."""
+    ap = _build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {cmd: [a for a in p._actions if a.dest != "help"] for cmd, p in sub.choices.items()}
+
+
+SUBCOMMANDS = _subcommands()
+
+
+def _names(cmd):
+    """option string -> every string that names it in cmd: itself and, for
+    a long option, each prefix no other option string of cmd starts with."""
+    strings = ["-h", "--help"] + [s for a in SUBCOMMANDS[cmd] for s in a.option_strings]
+
+    def names(s):
+        prefixes = [s[:k] for k in range(3, len(s))] if s.startswith("--") else []
+        return [s] + [p for p in prefixes
+                      if p not in strings and [t for t in strings if t.startswith(p)] == [s]]
+
+    return {s: names(s) for s in strings}
+
+
+def _ambiguous(cmd):
+    strings = ["--help"] + [s for a in SUBCOMMANDS[cmd] for s in a.option_strings]
+    return sorted({s[:k] for s in strings for k in range(3, len(s))
+                   if s[:k] not in strings and sum(t.startswith(s[:k]) for t in strings) > 1})
+
+
+def _argv_strategy(st):
+    """Valid argv for every subcommand, as (command, items): each item is
+    the tokens of one option or of the positional, in command-line order."""
+    word = st.text(max_size=8).filter(lambda s: not s.startswith("-") and s not in SUBCOMMANDS)
+    dashed = st.sampled_from(["-1", "-25", "-.5", "-2.5", "-x y", "-", ""])
+    integer = st.one_of(st.integers(-10**6, 10**6).map(str),
+                        st.sampled_from([" 7", "+7", "1_000", "-0", "007"]))
+
+    def value(action):
+        if action.choices:
+            return st.sampled_from(action.choices)
+        return integer if action.type is int else st.one_of(word, dashed)
+
+    @st.composite
+    def items(draw, cmd):
+        names = _names(cmd)
+        out, positional = [], None
+        for action in SUBCOMMANDS[cmd]:
+            if not action.option_strings:
+                positional = [draw(st.one_of(word, dashed))]
+                continue
+            times = draw(st.integers(1 if action.required else 0, 2))
+            for _ in range(times):
+                name = draw(st.sampled_from([n for s in action.option_strings
+                                             for n in names[s]]))
+                if action.nargs == 0:
+                    out.append([name])
+                elif draw(st.booleans()):
+                    out.append([f"{name}={draw(value(action))}"])
+                else:
+                    out.append([name, draw(value(action))])
+        out = draw(st.permutations(out))
+        if positional is not None:
+            if draw(st.booleans()):  # after "--" it may look like an option
+                out.append(["--", draw(st.sampled_from(["-m.txt", "--out", "-v", "x"]))])
+            else:
+                out.insert(draw(st.integers(0, len(out))), positional)
+        return cmd, out
+
+    return st.sampled_from(sorted(SUBCOMMANDS)).flatmap(items)
+
+
+def _flat(cmd, items):
+    return [cmd] + [tok for item in items for tok in item]
+
+
+def test_option_table_reads_valid_argv_as_argparse_did():
+    hyp = pytest.importorskip("hypothesis")
+    from mrlrc import cli
+
+    @hyp.settings(max_examples=600, deadline=None)
+    @hyp.given(_argv_strategy(hyp.strategies))
+    def check(case):
+        argv = _flat(*case)
+        want = _reference(argv)
+        assert isinstance(want, dict), (argv, want)
+        assert vars(cli._parse(argv)) == want
+
+    check()
+
+
+def _malformed(st):
+    """An argv that argparse refused, made from a valid one: (kind, argv)."""
+
+    @st.composite
+    def spoil(draw, case):
+        cmd, items = case
+        actions = SUBCOMMANDS[cmd]
+        at = draw(st.integers(0, len(items)))
+        kinds = ["no command", "unknown command", "unknown option", "missing required",
+                 "non-integer", "missing value", "value on a flag", "extra positional"]
+        if _ambiguous(cmd):
+            kinds.append("ambiguous option")
+        if any(a.choices for a in actions):
+            kinds.append("bad choice")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "no command":  # the options alone could name --help
+            return kind, draw(st.sampled_from([[], ["-v"], ["--budget=3"], ["--", "x"]]))
+        if kind == "unknown command":
+            return kind, _flat(draw(st.sampled_from(["build", "verif", "Verify", "-3", "--"])),
+                               items)
+        if kind == "missing required":
+            gone = draw(st.sampled_from([a.option_strings[0] for a in actions
+                                         if a.required and a.option_strings]))
+            items = [i for i in items if i[0].split("=")[0] not in _names(cmd)[gone]]
+        elif kind == "missing value":  # before the positional, it leaves that missing
+            takes = [s for a in actions if a.option_strings and a.nargs != 0
+                     for s in a.option_strings]
+            items = items[:at] + [[draw(st.sampled_from(takes))]] + items[at:]
+        else:
+            new = {
+                "unknown option": st.sampled_from([["--bogus"], ["--bogus", "1"],
+                                                   ["--bogus=1"], ["-x"], ["---in", "x"]]),
+                "non-integer": st.tuples(
+                    st.sampled_from([s for a in actions if a.type is int
+                                     for s in a.option_strings]),
+                    st.sampled_from(["x", "1.5", "", "0x10", "1e3", "-1.5"])).map(list),
+                "value on a flag": st.sampled_from([["--verbose=1"], ["--seedless="], ["-v=1"],
+                                                    ["-vx"], ["--verb=yes"]]),
+                "extra positional": st.sampled_from([["extra"], ["-1"], [""]]),
+                "ambiguous option": st.tuples(st.sampled_from(_ambiguous(cmd) or ["-"]),
+                                              st.just("1")).map(list),
+                "bad choice": st.tuples(
+                    st.sampled_from([s for a in actions if a.choices for s in a.option_strings]),
+                    st.sampled_from(["best", "MDS", "direct "])).map(list),
+            }[kind]
+            items = items[:at] + [draw(new)] + items[at:]
+        return kind, _flat(cmd, items)
+
+    return _argv_strategy(st).flatmap(spoil)
+
+
+def test_option_table_refuses_what_argparse_refused():
+    hyp = pytest.importorskip("hypothesis")
+    from mrlrc import cli
+
+    @hyp.settings(max_examples=600, deadline=None)
+    @hyp.given(_malformed(hyp.strategies))
+    def check(case):
+        kind, argv = case
+        assert _reference(argv) == 2, (kind, argv)
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+            # a handler that ran would leave a 0 behind
+            mp.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, lambda args: 0))
+            code = main(argv)
+        assert (code, out.getvalue()) == (2, ""), (kind, argv)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (kind, argv, lines)
+
+    check()
+
+
+BOUNDS = ["bounds", "--p", "2", "--n", "5", "--r", "3", "--h", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["build", "--p", "2"],
+    [*BOUNDS, "--bogus"],
+    ["construct", "--s", "gv"],
+    BOUNDS[:-2],
+    ["construct", "--p", "2", "--r", "x"],
+    ["sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "5", "--sdss", "best", "--out", "s"],
+    ["verify", "--in"],
+    ["verify", "--in", "c.mr", "--verbose=1"],
+    ["encode", "--in", "c.mr", "m.txt", "n.txt", "--out", "cw.txt"],
+], ids=["no-command", "unknown-command", "unknown-option", "ambiguous-option",
+        "missing-required", "non-integer", "bad-choice", "missing-value", "value-on-flag",
+        "extra-positional"])
+@pytest.mark.parametrize("module", ["mrlrc.cli", "mrlrc"])
+def test_usage_errors_are_one_line_and_exit_2(tmp_path, module, argv):
+    proc = _child(["-m", module, *argv], tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cmd", [None, *SUBCOMMANDS])
+def test_help_lists_every_option(capsys, cmd):
+    for flag in ("--help", "-h"):
+        code, stdout, err = run(capsys, *([cmd] if cmd else []), flag)
+        assert (code, err) == (0, "")
+        words = stdout.split()
+        for name in [cmd] if cmd else SUBCOMMANDS:
+            assert name in words
+            for action in SUBCOMMANDS[name]:
+                assert (action.option_strings or [action.dest])[-1] in words
+
+
+def test_cli_import_leaves_out_argparse_and_what_it_loads(tmp_path):
+    heavy = ["argparse", "re", "gettext", "locale", "shutil", "enum"]
+    code = (f"import sys; sys.path.insert(0, {str(Path(mrlrc.__file__).parents[1])!r}); "
+            f"import mrlrc.cli; print([m for m in {heavy!r} if m in sys.modules])")
+    proc = _child(["-I", "-S", "-c", code], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
