@@ -6,9 +6,9 @@ the constant term first; a top-level element (F_{q^m}) encodes its
 coefficient vector over F_q in base q the same way.  The defining
 polynomials are the monic irreducibles of the required degree with the
 smallest integer encoding of their coefficient vector, found by
-ascending exhaustive search (trial division by every monic polynomial
-of degree 1 up to half the degree), so two towers built from the same
-(p, a, m) are identical and every code is reproducible across runs.
+ascending exhaustive search (each candidate decided by Ben-Or's test,
+`_is_irreducible`), so two towers built from the same (p, a, m) are
+identical and every code is reproducible across runs.
 
 Levels are addressed by name: ``"prime"`` (F_p), ``"mid"`` (F_q),
 ``"top"`` (F_{q^m}).  Every level is one `Field`, an extension
@@ -87,6 +87,9 @@ class _PrimeOps:
 
     def mul(self, x, y):
         return (x * y) % self.size
+
+    def inv(self, x):
+        return pow(x, -1, self.size)
 
 
 def _digits(code: int, base: int, length: int) -> list[int]:
@@ -483,46 +486,128 @@ class Field:
         return f"Field(size={self.size}, modulus={self.modulus})"
 
 
-# -- polynomial helpers for the irreducibility search -----------------
-
-
-def _poly_rem(ops, num, den):
-    """Remainder of num modulo a monic den (coefficient lists)."""
-    work = list(num)
-    d = len(den) - 1
-    for k in range(len(work) - 1, d - 1, -1):
-        c = work[k]
-        if c:
-            base = k - d
-            for t in range(d):
-                dt = den[t]
-                if dt:
-                    work[base + t] = ops.sub(work[base + t], ops.mul(c, dt))
-            work[k] = 0
-    return work[:d]
+# -- irreducibility search ---------------------------------------------
 
 
 def _rem_gf2(num: int, den: int, den_deg: int) -> int:
+    """num mod den for F_2 polynomials packed into ints, deg den = den_deg."""
     while num.bit_length() - 1 >= den_deg:
         num ^= den << (num.bit_length() - 1 - den_deg)
     return num
 
 
-def _is_irreducible(ops, poly) -> bool:
-    """True iff no monic polynomial of degree 1 to deg/2 divides poly."""
-    deg = len(poly) - 1
-    if ops.size == 2:
-        num = sum(c << i for i, c in enumerate(poly))
-        for e in range(1, deg // 2 + 1):
-            for low in range(1 << e):
-                if _rem_gf2(num, low | (1 << e), e) == 0:
-                    return False
+def _gcd_is_one_gf2(a: int, b: int) -> bool:
+    """True iff gcd(a, b) = 1 for F_2 polynomials packed into ints (bit
+    i is the coefficient of x^i), by Euclid's algorithm."""
+    while b:
+        a, b = b, _rem_gf2(a, b, b.bit_length() - 1)
+    return a == 1
+
+
+def _gcd_is_one(ops, a: list, b: list) -> bool:
+    """True iff gcd(a, b) is a nonzero constant, for coefficient lists
+    over `ops` (lowest first, trailing zeros allowed), by Euclid's
+    algorithm."""
+    sub, mul = ops.sub, ops.mul
+    while b and not b[-1]:
+        b = b[:-1]
+    while b:
+        db = len(b) - 1
+        inv = ops.inv(b[-1])
+        a = list(a)
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k]
+            if c:
+                c = mul(c, inv)
+                base = k - db
+                for t in range(db):
+                    if b[t]:
+                        a[base + t] = sub(a[base + t], mul(c, b[t]))
+        a = a[:db]
+        while a and not a[-1]:
+            a = a[:-1]
+        a, b = b, a
+    return len(a) == 1
+
+
+def _times_x(ops, g: list, f) -> list:
+    """x*g mod the monic f, for g of degree below deg f."""
+    top = g[-1]
+    g = [0] + g[:-1]
+    if top:
+        sub, mul = ops.sub, ops.mul
+        g = [sub(c, mul(top, fc)) if fc else c for c, fc in zip(g, f)]
+    return g
+
+
+def _irreducible_gf2(f: int, deg: int) -> bool:
+    """`_is_irreducible` over F_2, on f packed into an int: the
+    Frobenius map is squaring, and h^2 the XOR of the x^(2j) mod f over
+    the set bits j of h."""
+    h = _rem_gf2(4, f, deg)  # x^2
+    if not _gcd_is_one_gf2(f, h ^ 2):
+        return False
+    steps = deg // 2
+    if steps == 1:
         return True
-    for e in range(1, deg // 2 + 1):
-        for low in range(ops.size**e):
-            den = _digits(low, ops.size, e) + [1]
-            if not any(_poly_rem(ops, poly, den)):
-                return False
+    squares = [1, h]  # x^(2j) mod f
+    for _ in range(2, deg):
+        squares.append(_rem_gf2(squares[-1] << 2, f, deg))
+    for _ in range(1, steps):
+        g = 0
+        for j, sq in enumerate(squares):
+            if h >> j & 1:
+                g ^= sq
+        h = g
+        if not _gcd_is_one_gf2(f, h ^ 2):
+            return False
+    return True
+
+
+def _is_irreducible(ops, poly) -> bool:
+    """Ben-Or's test: a monic poly of degree d over F_q is irreducible
+    iff gcd(poly, x^(q^i) - x) = 1 for i = 1 .. d/2 (Ben-Or,
+    "Probabilistic algorithms in finite fields", FOCS 1981;
+    Lidl-Niederreiter, Finite Fields, Thm 3.20: x^(q^i) - x is the
+    product of the monic irreducibles of degree dividing i).
+
+    h = x^(q^i) mod poly is carried from i to i + 1 by the Frobenius
+    map h -> h^q, which is F_q-linear: h^q is the sum of h_j x^(qj)
+    over the coefficients h_j of h.  So a table of x^(qj) mod poly,
+    j < d, makes each step a matrix-vector product; it is built only
+    when a step past the first is needed.  Over F_2 the polynomials
+    are ints (`_irreducible_gf2`).
+    """
+    deg = len(poly) - 1
+    steps = deg // 2
+    if not steps:
+        return True
+    if ops.size == 2:
+        return _irreducible_gf2(_undigits(poly, 2), deg)
+    q = ops.size
+    x = [0, 1] + [0] * (deg - 2)
+    power = [1] + [0] * (deg - 1)
+    for _ in range(q):
+        power = _times_x(ops, power, poly)
+    h = power  # x^q mod poly
+    if not _gcd_is_one(ops, poly, [ops.sub(c, e) for c, e in zip(h, x)]):
+        return False
+    if steps == 1:
+        return True
+    table = [[1] + [0] * (deg - 1), h]  # x^(qj) mod poly
+    for _ in range(2, deg):
+        for _ in range(q):
+            power = _times_x(ops, power, poly)
+        table.append(power)
+    add, mul = ops.add, ops.mul
+    for _ in range(1, steps):
+        g = [0] * deg
+        for c, row in zip(h, table):
+            if c:
+                g = [add(gk, mul(c, rk)) if rk else gk for gk, rk in zip(g, row)]
+        h = g
+        if not _gcd_is_one(ops, poly, [ops.sub(c, e) for c, e in zip(h, x)]):
+            return False
     return True
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ParameterError
-from .gf import Field, FieldTower
+from .gf import Field, FieldTower, _undigits
 
 
 class FieldMatrix:
@@ -200,12 +200,15 @@ def _rank_rows(F: Field, row_lists) -> int:
     return len(_echelonize(F, work, reduced=False))
 
 
-def _xor_rank(rows) -> int:
+def _xor_rank(rows, basis=None) -> int:
     """Rank over F_2 of vectors packed into ints (bit j is coordinate j),
     by one XOR basis keyed by leading bit: a vector is reduced by the
     basis vector that has its leading bit until it is 0 (dependent) or
-    its leading bit is new (it joins the basis)."""
-    basis = {}
+    its leading bit is new (it joins the basis).  A `basis` built here
+    is extended in place, and the rank is that of its vectors and the
+    rows together."""
+    if basis is None:
+        basis = {}
     for v in rows:
         while v:
             lead = v.bit_length()
@@ -403,13 +406,36 @@ def first_dependent_subset(F: Field, groups, k: int, step: int = 1):
     Returns (the first subset whose rows are dependent, or None; the
     number of subsets checked).  With step > 1 only the subsets at
     indices 0, step, 2*step, ... are checked (_strided_combinations).
+
+    Over F_2 each row is packed into an int once, bit j its coordinate
+    j, and ranked by XOR bases (`_xor_rank`).  bases[j] is the basis of
+    the first j groups of the current subset, all independent, so a
+    subset that shares its first j groups with the one before starts
+    from bases[j] and reduces only its other groups' rows.
     """
+    walk = _strided_combinations(range(len(groups)), k, step)
     checked = 0
-    for sel in _strided_combinations(range(len(groups)), k, step):
+    if F.size != 2:
+        for sel in walk:
+            checked += 1
+            rows = [v for i in sel for v in groups[i]]
+            if _rank_rows(F, rows) != len(rows):
+                return sel, checked
+        return None, checked
+    groups = [[_undigits(v, 2) for v in group] for group in groups]
+    bases, prev = [{}], ()
+    for sel in walk:
         checked += 1
-        rows = [v for i in sel for v in groups[i]]
-        if _rank_rows(F, rows) != len(rows):
-            return sel, checked
+        j = 0
+        while j < len(prev) and sel[j] == prev[j]:
+            j += 1
+        del bases[j + 1:]
+        for i in sel[j:]:
+            basis = dict(bases[-1])
+            if _xor_rank(groups[i], basis) != len(bases[-1]) + len(groups[i]):
+                return sel, checked
+            bases.append(basis)
+        prev = sel
     return None, checked
 
 

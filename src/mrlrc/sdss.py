@@ -171,40 +171,52 @@ def bounds(q: int, n: int, r: int, h: int) -> BoundsReport:
 # -- constructions -----------------------------------------------------
 
 
-def _fp_rows(t: FieldTower, vec) -> list[list[int]]:
+def _fp_rows(t: FieldTower, vec) -> list:
     """F_p-expansions of b*vec for b in the basis 1, x, ..., x^(a-1) of
     F_q over F_p: the base-p digits of each product's top-level code.
-    Their F_p-span is the F_q-span of vec; for a = 1 it is vec itself."""
+    Their F_p-span is the F_q-span of vec; for a = 1 it is vec itself.
+    For p = 2 a row is packed into an int, bit i its coordinate i: the
+    code itself."""
     F = t.field("mid")
     p, n = t.p, t.a * t.m
-    return [
-        _digits(t.vec_to_top([F.mul(p**j, c) for c in vec]), p, n)
-        for j in range(t.a)
-    ]
+    codes = [t.vec_to_top([F.mul(p**j, c) for c in vec]) for j in range(t.a)]
+    return codes if p == 2 else [_digits(c, p, n) for c in codes]
 
 
-def _identity(n: int) -> list[list[int]]:
-    """Check basis of the zero span of F_p^n: every coordinate."""
+def _identity(p: int, n: int) -> list:
+    """Check basis of the zero span of F_p^n: every coordinate, packed
+    into ints for p = 2 as `_fp_rows` packs rows."""
+    if p == 2:
+        return [1 << i for i in range(n)]
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _add_row(checks: list[list[int]], row: list[int], p: int) -> list[list[int]]:
+def _add_row(checks: list, row, p: int) -> list:
     """F_p parity-check basis of span + row from one of the span: x lies
     in the span iff y.x = 0 for every check y.
 
     When every check's syndrome on the row is 0 the row lies in the span
     and the basis is returned unchanged.  Otherwise the first check with
     a nonzero syndrome is eliminated from the others mod p and dropped,
-    which leaves one check fewer, each with syndrome 0 on the row.
+    which leaves one check fewer, each with syndrome 0 on the row.  For
+    p = 2 checks and row are packed ints (`_identity`): a syndrome is the
+    parity of y & row, and the elimination y ^= pivot.
     """
-    syndromes = [sum(map(mul, y, row)) % p for y in checks]
+    if p == 2:
+        syndromes = [(y & row).bit_count() & 1 for y in checks]
+    else:
+        syndromes = [sum(map(mul, y, row)) % p for y in checks]
     for k, s in enumerate(syndromes):
         if s:
             break
     else:
         return checks
-    pivot, inv = checks[k], pow(s, -1, p)
+    pivot = checks[k]
     out = checks[:k]
+    if p == 2:
+        out += [y ^ pivot if t else y for y, t in zip(checks[k + 1:], syndromes[k + 1:])]
+        return out
+    inv = pow(s, -1, p)
     for y, t in zip(checks[k + 1:], syndromes[k + 1:]):
         if t:
             c = t * inv % p  # y - c*pivot has syndrome t - c*s = 0
@@ -213,15 +225,14 @@ def _add_row(checks: list[list[int]], row: list[int], p: int) -> list[list[int]]
     return out
 
 
-def _add_rows(checks: list[list[int]], rows: list[list[int]], p: int) -> list[list[int]]:
+def _add_rows(checks: list, rows: list, p: int) -> list:
     """Check basis of span + every row, one `_add_row` per row."""
     for row in rows:
         checks = _add_row(checks, row, p)
     return checks
 
 
-def _first_outside(p: int, n: int, check_sets: list[list[list[int]]],
-                   start: int) -> int | None:
+def _first_outside(p: int, n: int, check_sets: list[list], start: int) -> int | None:
     """Smallest code in [start, p^n) whose base-p digits (lowest first)
     fail some check of every set, or None.
 
@@ -229,15 +240,23 @@ def _first_outside(p: int, n: int, check_sets: list[list[list[int]]],
     the word holds all syndromes of the current code, and a set's guard
     bit survives the zero test exactly when the code lies outside its
     span.  The codes are counted through with `gf._counting_steps`: one
-    lane-wise mod-p addition per code.
+    lane-wise mod-p addition per code.  For p = 2 the checks are packed
+    ints (`_identity`), read bit by bit.
     """
     w, offsets, ones, guards, tops, bias = _lane_layout(p, map(len, check_sets))
     cols = [0] * n
     for checks, shift in zip(check_sets, offsets):
         for j, y in enumerate(checks):
-            for i, d in enumerate(y):
-                if d:
-                    cols[i] |= d << (shift + j * w)
+            lane = 1 << (shift + j * w)
+            if p == 2:
+                while y:
+                    low = y & -y
+                    cols[low.bit_length() - 1] |= lane
+                    y ^= low
+            else:
+                for i, d in enumerate(y):
+                    if d:
+                        cols[i] |= d * lane
     steps = _counting_steps(cols, p, w, tops, bias)
     word = 0
     for col, d in zip(cols, _digits(start, p, n)):
@@ -301,7 +320,7 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int,
     # F_p-expansion of every group
     expanded = [[row for v in group for row in _fp_rows(t, v)] for group in basis]
     # check basis of the span of each subset of groups, keyed by the subset
-    bases = {(): _identity(width)}
+    bases = {(): _identity(p, width)}
 
     def base(subset):
         if subset not in bases:
@@ -374,7 +393,7 @@ def _ell_basis(t: FieldTower, ell_basis_fq: list[int], r: int) -> list[int]:
     F = t.field("top")
     p, width = t.p, t.a * t.m
     chosen: list[int] = []
-    checks = _identity(width)
+    checks = _identity(p, width)
     code = 0
     for _ in range(r):
         code = _first_outside(p, width, [checks], code + 1)

@@ -286,17 +286,125 @@ def _brute_irreducibles(ops, degree):
 
 
 @pytest.mark.parametrize("ops,degrees", [
-    (gf._PrimeOps(2), range(1, 9)),
-    (gf._PrimeOps(3), range(1, 6)),
+    (gf._PrimeOps(2), range(1, 11)),
+    (gf._PrimeOps(3), range(1, 7)),
     (gf._PrimeOps(5), range(1, 5)),
     (FieldTower(2, 2, 1).field("mid"), range(1, 5)),
-], ids=["2", "3", "5", "4"])
+    (FieldTower(3, 2, 1).field("mid"), range(1, 5)),
+], ids=["2", "3", "5", "4", "9"])
 def test_irreducibility_search_matches_brute_force(ops, degrees):
     for degree in degrees:
         irreducibles = _brute_irreducibles(ops, degree)
         assert gf._min_irreducible(ops, degree) == irreducibles[0]
         assert [f for f in _monic(ops.size, degree)
                 if gf._is_irreducible(ops, list(f))] == irreducibles
+
+
+# (p, a, largest m): every tower of these shapes up to that m
+PINNED_SHAPES = [(2, 1, 24), (3, 1, 15), (2, 2, 12), (5, 1, 10), (7, 1, 7),
+                 (2, 3, 8), (3, 2, 7), (2, 4, 6)]
+
+# their tower lines as the search found them by trial division, before
+# Ben-Or's test decided each candidate: the choice of polynomial is part
+# of every artifact, so it must never change
+PINNED_TOWERS = [
+    "p=2 a=1 m=1",
+    "p=2 a=1 m=2 ext_poly=1,1,1",
+    "p=2 a=1 m=3 ext_poly=1,1,0,1",
+    "p=2 a=1 m=4 ext_poly=1,1,0,0,1",
+    "p=2 a=1 m=5 ext_poly=1,0,1,0,0,1",
+    "p=2 a=1 m=6 ext_poly=1,1,0,0,0,0,1",
+    "p=2 a=1 m=7 ext_poly=1,1,0,0,0,0,0,1",
+    "p=2 a=1 m=8 ext_poly=1,1,0,1,1,0,0,0,1",
+    "p=2 a=1 m=9 ext_poly=1,1,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=10 ext_poly=1,0,0,1,0,0,0,0,0,0,1",
+    "p=2 a=1 m=11 ext_poly=1,0,1,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=12 ext_poly=1,0,0,1,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=13 ext_poly=1,1,0,1,1,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=14 ext_poly=1,0,0,0,0,1,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=15 ext_poly=1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=16 ext_poly=1,1,0,1,0,1,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=17 ext_poly=1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=18 ext_poly=1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=19 ext_poly=1,1,1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=20 ext_poly=1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=21 ext_poly=1,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=22 ext_poly=1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=23 ext_poly=1,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=1 m=24 ext_poly=1,1,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=3 a=1 m=1",
+    "p=3 a=1 m=2 ext_poly=1,0,1",
+    "p=3 a=1 m=3 ext_poly=1,2,0,1",
+    "p=3 a=1 m=4 ext_poly=2,1,0,0,1",
+    "p=3 a=1 m=5 ext_poly=1,2,0,0,0,1",
+    "p=3 a=1 m=6 ext_poly=2,1,0,0,0,0,1",
+    "p=3 a=1 m=7 ext_poly=2,0,1,0,0,0,0,1",
+    "p=3 a=1 m=8 ext_poly=2,0,1,0,0,0,0,0,1",
+    "p=3 a=1 m=9 ext_poly=1,0,1,2,0,0,0,0,0,1",
+    "p=3 a=1 m=10 ext_poly=1,0,2,0,0,0,0,0,0,0,1",
+    "p=3 a=1 m=11 ext_poly=2,0,1,0,0,0,0,0,0,0,0,1",
+    "p=3 a=1 m=12 ext_poly=2,0,1,0,0,0,0,0,0,0,0,0,1",
+    "p=3 a=1 m=13 ext_poly=1,2,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=3 a=1 m=14 ext_poly=2,1,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=3 a=1 m=15 ext_poly=2,0,1,0,0,0,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=2 m=1 base_poly=1,1,1",
+    "p=2 a=2 m=2 base_poly=1,1,1 ext_poly=2,1,1",
+    "p=2 a=2 m=3 base_poly=1,1,1 ext_poly=2,0,0,1",
+    "p=2 a=2 m=4 base_poly=1,1,1 ext_poly=1,2,1,0,1",
+    "p=2 a=2 m=5 base_poly=1,1,1 ext_poly=2,1,0,0,0,1",
+    "p=2 a=2 m=6 base_poly=1,1,1 ext_poly=2,1,1,0,0,0,1",
+    "p=2 a=2 m=7 base_poly=1,1,1 ext_poly=1,1,0,0,0,0,0,1",
+    "p=2 a=2 m=8 base_poly=1,1,1 ext_poly=2,1,0,1,0,0,0,0,1",
+    "p=2 a=2 m=9 base_poly=1,1,1 ext_poly=2,0,0,0,0,0,0,0,0,1",
+    "p=2 a=2 m=10 base_poly=1,1,1 ext_poly=3,0,2,1,0,0,0,0,0,0,1",
+    "p=2 a=2 m=11 base_poly=1,1,1 ext_poly=2,1,0,0,0,0,0,0,0,0,0,1",
+    "p=2 a=2 m=12 base_poly=1,1,1 ext_poly=1,2,1,1,0,0,0,0,0,0,0,0,1",
+    "p=5 a=1 m=1",
+    "p=5 a=1 m=2 ext_poly=2,0,1",
+    "p=5 a=1 m=3 ext_poly=1,1,0,1",
+    "p=5 a=1 m=4 ext_poly=2,0,0,0,1",
+    "p=5 a=1 m=5 ext_poly=1,4,0,0,0,1",
+    "p=5 a=1 m=6 ext_poly=2,1,0,0,0,0,1",
+    "p=5 a=1 m=7 ext_poly=1,1,0,0,0,0,0,1",
+    "p=5 a=1 m=8 ext_poly=2,0,0,0,0,0,0,0,1",
+    "p=5 a=1 m=9 ext_poly=3,2,1,0,0,0,0,0,0,1",
+    "p=5 a=1 m=10 ext_poly=3,1,1,0,0,0,0,0,0,0,1",
+    "p=7 a=1 m=1",
+    "p=7 a=1 m=2 ext_poly=1,0,1",
+    "p=7 a=1 m=3 ext_poly=2,0,0,1",
+    "p=7 a=1 m=4 ext_poly=1,1,0,0,1",
+    "p=7 a=1 m=5 ext_poly=3,1,0,0,0,1",
+    "p=7 a=1 m=6 ext_poly=2,0,0,0,0,0,1",
+    "p=7 a=1 m=7 ext_poly=1,6,0,0,0,0,0,1",
+    "p=2 a=3 m=1 base_poly=1,1,0,1",
+    "p=2 a=3 m=2 base_poly=1,1,0,1 ext_poly=1,1,1",
+    "p=2 a=3 m=3 base_poly=1,1,0,1 ext_poly=2,1,0,1",
+    "p=2 a=3 m=4 base_poly=1,1,0,1 ext_poly=1,1,0,0,1",
+    "p=2 a=3 m=5 base_poly=1,1,0,1 ext_poly=1,0,1,0,0,1",
+    "p=2 a=3 m=6 base_poly=1,1,0,1 ext_poly=2,1,0,0,0,0,1",
+    "p=2 a=3 m=7 base_poly=1,1,0,1 ext_poly=2,0,0,0,0,0,0,1",
+    "p=2 a=3 m=8 base_poly=1,1,0,1 ext_poly=3,2,0,1,0,0,0,0,1",
+    "p=3 a=2 m=1 base_poly=1,0,1",
+    "p=3 a=2 m=2 base_poly=1,0,1 ext_poly=4,0,1",
+    "p=3 a=2 m=3 base_poly=1,0,1 ext_poly=3,1,0,1",
+    "p=3 a=2 m=4 base_poly=1,0,1 ext_poly=4,0,0,0,1",
+    "p=3 a=2 m=5 base_poly=1,0,1 ext_poly=4,1,0,0,0,1",
+    "p=3 a=2 m=6 base_poly=1,0,1 ext_poly=4,0,1,0,0,0,1",
+    "p=3 a=2 m=7 base_poly=1,0,1 ext_poly=4,1,0,0,0,0,0,1",
+    "p=2 a=4 m=1 base_poly=1,1,0,0,1",
+    "p=2 a=4 m=2 base_poly=1,1,0,0,1 ext_poly=8,1,1",
+    "p=2 a=4 m=3 base_poly=1,1,0,0,1 ext_poly=2,0,0,1",
+    "p=2 a=4 m=4 base_poly=1,1,0,0,1 ext_poly=4,2,1,0,1",
+    "p=2 a=4 m=5 base_poly=1,1,0,0,1 ext_poly=2,0,0,0,0,1",
+    "p=2 a=4 m=6 base_poly=1,1,0,0,1 ext_poly=13,2,1,0,0,0,1",
+]
+
+
+def test_tower_choice_is_pinned():
+    got = [tower_line(FieldTower(p, a, m))
+           for p, a, top in PINNED_SHAPES for m in range(1, top + 1)]
+    assert len(got) == 89
+    assert got == PINNED_TOWERS
 
 
 def test_is_prime_matches_a_sieve():

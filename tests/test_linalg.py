@@ -250,6 +250,45 @@ def test_first_dependent_subset_strided_matches_filtered_walk():
             assert first_dependent_subset(F, groups, k, step) == (expected, checked)
 
 
+def test_f2_first_dependent_subset_matches_rank_rows_walk():
+    """Over F_2 the walk packs rows into ints and reuses the XOR bases of
+    shared prefixes; it must return the subset and count of a plain
+    `_rank_rows` loop over the same strided subsets."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    F = F2.field("prime")
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        k = data.draw(st.sampled_from((1, 2, 3)))
+        step = data.draw(st.sampled_from((1, 2, 5)))
+        n = data.draw(st.integers(k, 8))
+        size = data.draw(st.integers(1, 3))
+        width = data.draw(st.integers(1, k * size + 1))
+        bits = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+        groups = [[data.draw(bits) for _ in range(size)] for _ in range(n)]
+        for _ in range(data.draw(st.integers(0, 2))):  # plant dependencies
+            a, b, c = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            kind = data.draw(st.sampled_from(("sum", "repeat", "zero")))
+            if kind == "sum":  # a row of c is the sum of rows of a and b
+                groups[c][-1] = [x ^ y for x, y in zip(groups[a][0], groups[b][-1])]
+            elif kind == "repeat":
+                groups[c] = groups[a]
+            else:
+                groups[c][0] = [0] * width
+        expected, checked = None, 0
+        for sel in _strided_combinations(range(n), k, step):
+            checked += 1
+            rows = [v for i in sel for v in groups[i]]
+            if _rank_rows(F, rows) != len(rows):
+                expected = sel
+                break
+        assert first_dependent_subset(F, groups, k, step) == (expected, checked)
+
+    check()
+
+
 def test_matrix_validation():
     with pytest.raises(ParameterError):
         FieldMatrix(F2, "prime", 1, 2, [0, 2])  # code out of range

@@ -269,12 +269,16 @@ def test_add_row_matches_kernel():
                 c = data.draw(digit)
                 row = [c * a % p for a in data.draw(st.sampled_from(rows))]
             rows.append(row)
-        checks = _identity(n)
+        # p = 2 folds packed rows into packed checks; compare on digits
+        pack = _pack if p == 2 else list
+        checks = _identity(p, n)
         for i, row in enumerate(rows):
-            new = _add_row(checks, row, p)
+            new = _add_row(checks, pack(row), p)
             if _rank_rows(F, rows[:i + 1]) == _rank_rows(F, rows[:i]):
                 assert new is checks  # a dependent row leaves the basis
             checks = new
+        if p == 2:
+            checks = [_unpack(y, n) for y in checks]
         rk = _rank_rows(F, rows)
         assert len(checks) == n - rk
         assert _rank_rows(F, checks) == len(checks)
@@ -284,6 +288,77 @@ def test_add_row_matches_kernel():
                                       [d for row in rows for d in row]))
         assert K.rows == len(checks)
         assert _rank_rows(F, checks + K.to_rows()) == len(checks)
+
+    check()
+
+
+def _pack(digits):
+    """F_2 digits (lowest first) as one int, bit i the digit i."""
+    return sum(d << i for i, d in enumerate(digits))
+
+
+def _unpack(v, n):
+    return [v >> i & 1 for i in range(n)]
+
+
+def _add_row_digits(checks, row, p):
+    """Oracle: `_add_row` on digit lists for every p, as it ran before
+    F_2 checks were packed into ints."""
+    syndromes = [sum(a * b for a, b in zip(y, row)) % p for y in checks]
+    k = next((k for k, s in enumerate(syndromes) if s), None)
+    if k is None:
+        return checks
+    pivot, inv = checks[k], pow(syndromes[k], -1, p)
+    out = checks[:k]
+    for y, t in zip(checks[k + 1:], syndromes[k + 1:]):
+        c = t * inv % p
+        out.append([(e - c * f) % p for e, f in zip(y, pivot)])
+    return out
+
+
+def _first_outside_digits(p, n, check_sets, start):
+    """Oracle: the smallest code from start whose digits fail some check
+    of every set, by checking each code in turn."""
+    for code in range(start, p**n):
+        x = [code // p**i % p for i in range(n)]
+        if all(any(sum(a * b for a, b in zip(y, x)) % p for y in checks)
+               for checks in check_sets):
+            return code
+    return None
+
+
+def test_packed_check_bases_match_digit_lists():
+    # F_2 check bases are packed ints: folding rows into them and the
+    # span scan over them must agree with the digit-list forms on
+    # random spans (with dependent rows planted) and random starts
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 10))
+        check_sets, digit_sets = [], []
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows = []
+            for _ in range(data.draw(st.integers(0, n))):
+                if rows and data.draw(st.booleans()):
+                    x, y = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+                    rows.append(x ^ y)  # a dependent row
+                else:
+                    rows.append(data.draw(st.integers(0, (1 << n) - 1)))
+            packed, digits = _identity(2, n), [_unpack(1 << i, n) for i in range(n)]
+            for row in rows:
+                new = _add_row(packed, row, 2)
+                want = _add_row_digits(digits, _unpack(row, n), 2)
+                assert (new is packed) == (want is digits)
+                packed, digits = new, want
+                assert [_unpack(y, n) for y in packed] == digits
+            check_sets.append(packed)
+            digit_sets.append(digits)
+        start = data.draw(st.integers(0, 1 << n))
+        assert sdss_module._first_outside(2, n, check_sets, start) == \
+            _first_outside_digits(2, n, digit_sets, start)
 
     check()
 
@@ -425,30 +500,33 @@ def test_sampled_certification_rejects_a_rank_deficient_group():
 
 def test_h1_walk_ranks_each_group_once(monkeypatch):
     # for h = 1 the 1-subsets are the groups, so the group-rank pass is
-    # the whole walk: 17 rank checks for 17 groups, at every step
-    S = mds_construct(make_tower(2, 1, 4), 17, 4, 1)
-    calls = []
-    real = linalg._rank_rows
+    # the whole walk: n rank checks for n groups, at every step; F_2
+    # groups are packed and ranked by `_xor_rank`, odd q on lists
+    for p, n, r, kernel in ((2, 17, 4, "_xor_rank"), (3, 10, 2, "_rank_rows")):
+        S = mds_construct(make_tower(p, 1, r), n, r, 1)
+        calls = []
+        real = getattr(linalg, kernel)
 
-    def counted(F, rows):
-        calls.append(None)
-        return real(F, rows)
+        def counted(*args, real=real):
+            calls.append(None)
+            return real(*args)
 
-    monkeypatch.setattr(linalg, "_rank_rows", counted)
-    stats = {}
-    assert verify_direct_sum(S, stats=stats)
-    assert len(calls) == stats["subsets_checked"] == 17
-    for step in (2, 5, 17, 40):
-        calls.clear()
-        assert _walk(S, step) == (True, len(range(0, 17, step)))
-        assert len(calls) == 17
-    # a rank-deficient group still fails before any 1-subset is counted
-    basis = [list(g) for g in S.basis]
-    basis[9][1] = basis[9][0]
-    bad = SubspaceSystem(S.tower, 17, 4, 1, basis)
-    stats = {}
-    assert not verify_direct_sum(bad, stats=stats) and stats["subsets_checked"] == 0
-    assert _walk(bad, 3) == (False, 0)
+        monkeypatch.setattr(linalg, kernel, counted)
+        stats = {}
+        assert verify_direct_sum(S, stats=stats)
+        assert len(calls) == stats["subsets_checked"] == n
+        for step in (2, 5, n, 40):
+            calls.clear()
+            assert _walk(S, step) == (True, len(range(0, n, step)))
+            assert len(calls) == n
+        # a rank-deficient group still fails before any 1-subset is counted
+        basis = [list(g) for g in S.basis]
+        basis[9][1] = basis[9][0]
+        bad = SubspaceSystem(S.tower, n, r, 1, basis)
+        stats = {}
+        assert not verify_direct_sum(bad, stats=stats) and stats["subsets_checked"] == 0
+        assert _walk(bad, 3) == (False, 0)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("p, a, u, r, expected", [
