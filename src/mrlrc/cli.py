@@ -20,7 +20,6 @@ be most of the start-up of a command.
 from __future__ import annotations
 
 import sys
-from types import SimpleNamespace
 
 from . import fileio, mr, sdss
 from .codes import bch_parity_check, rs_parity_check
@@ -32,6 +31,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+# types.SimpleNamespace, without importing types at the start of every command
+_Namespace = type(sys.implementation)
 
 
 # One row per option: (option strings, dest, type, default, help).  The type
@@ -177,7 +179,7 @@ def _parse(argv: list):
     missing = [row[0] for row in rows if values[row[1]] is _REQUIRED] if cmd else ["cmd"]
     if missing:
         raise ParameterError(f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(cmd=cmd, **values)
+    return _Namespace(cmd=cmd, **values)
 
 
 def _read(path: str) -> str:

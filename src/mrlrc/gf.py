@@ -42,7 +42,6 @@ one that finds the Zech table finds all three.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, count, islice
 
 from . import config
@@ -729,10 +728,24 @@ class FieldTower:
         return f"FieldTower(p={self.p}, a={self.a}, m={self.m})"
 
 
-@lru_cache(maxsize=None)
+_TOWERS: dict = {}
+
+
 def make_tower(p: int, a: int = 1, m: int = 1) -> FieldTower:
-    """Build (or fetch) the tower for (p, a, m); fully deterministic."""
-    return FieldTower(p, a, m)
+    """Build (or fetch) the tower for (p, a, m); fully deterministic.
+
+    One tower per (p, a, m), however the arguments are spelled; when two
+    threads build the same one, both get the tower stored first.
+    ``make_tower.cache_clear()`` forgets every tower.
+    """
+    key = (p, a, m)
+    t = _TOWERS.get(key)
+    if t is None:
+        t = _TOWERS.setdefault(key, FieldTower(p, a, m))
+    return t
+
+
+make_tower.cache_clear = _TOWERS.clear
 
 
 # -- text form ---------------------------------------------------------

@@ -14,7 +14,6 @@ block distances.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -365,10 +364,19 @@ def _unrank_combination(m: int, k: int, idx: int) -> tuple[int, ...]:
     return next(_strided_combinations(range(m), k, 1, idx))
 
 
-@lru_cache(maxsize=16)
+_COMB_TABLES: dict = {}
+
+
 def _comb_tables(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Row s holds C(c, s) for c = 0..m, for s = 0..k."""
-    return tuple(tuple(comb(c, s) for c in range(m + 1)) for s in range(k + 1))
+    """Row s holds C(c, s) for c = 0..m, for s = 0..k.  Memoised; the
+    memo is emptied before it would pass 16 entries."""
+    tables = _COMB_TABLES.get((m, k))
+    if tables is None:
+        if len(_COMB_TABLES) >= 16:
+            _COMB_TABLES.clear()
+        tables = _COMB_TABLES[m, k] = tuple(
+            tuple(comb(c, s) for c in range(m + 1)) for s in range(k + 1))
+    return tables
 
 
 def _strided_combinations(pool, k: int, step: int = 1, first: int = 0):

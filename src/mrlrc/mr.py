@@ -45,7 +45,6 @@ from __future__ import annotations
 # threading.Lock is this lock; importing threading would add to the
 # start-up time and memory of every mrlrc command
 from _thread import allocate_lock
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 from time import perf_counter
@@ -312,10 +311,18 @@ def pattern_count(spec: MrCodeSpec) -> int:
     )
 
 
-@lru_cache(maxsize=16)
+_SUBSETS: dict = {}
+
+
 def _subsets(r: int, delta: int) -> tuple[tuple[int, ...], ...]:
-    """The delta-subsets of range(r) in lexicographic order."""
-    return tuple(combinations(range(r), delta))
+    """The delta-subsets of range(r) in lexicographic order.  Memoised;
+    the memo is emptied before it would pass 16 entries."""
+    subsets = _SUBSETS.get((r, delta))
+    if subsets is None:
+        if len(_SUBSETS) >= 16:
+            _SUBSETS.clear()
+        subsets = _SUBSETS[r, delta] = tuple(combinations(range(r), delta))
+    return subsets
 
 
 def _ranks(spec: MrCodeSpec, block: int) -> list[int]:

@@ -9,9 +9,11 @@ bounds on the least ambient dimension.
 
 from __future__ import annotations
 
+# operator.mul is this function; importing operator would add to the
+# start-up time of every mrlrc command
+from _operator import mul
 from itertools import combinations
 from math import comb
-from operator import mul
 
 from . import config
 from .codes import BlockCode, LinearCode, block_min_distance, subfield_subcode

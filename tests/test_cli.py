@@ -700,6 +700,32 @@ def test_cli_import_leaves_out_dataclasses_and_pathlib(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_loads_only_these_standard_modules(tmp_path):
+    # each command starts a fresh interpreter: functools, collections,
+    # operator and types (with keyword and reprlib) once took about as
+    # long to import as mrlrc's own modules
+    code = (f"import sys; sys.path.insert(0, {str(Path(mrlrc.__file__).parents[1])!r}); "
+            "before = set(sys.modules); import mrlrc.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.partition('.')[0] != 'mrlrc'))")
+    proc = _child(["-I", "-S", "-c", code], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == str(sorted([
+        "os", "os.path", "posixpath", "genericpath", "stat", "_stat", "_collections_abc",
+        "itertools", "math", "bisect", "_bisect", "_operator", "__future__",
+    ])) + "\n"
+
+
+def test_parse_returns_a_simple_namespace():
+    import types
+
+    from mrlrc import cli
+
+    args = cli._parse(["verify", "--in", "x.mr"])
+    assert type(args) is types.SimpleNamespace
+    assert args == types.SimpleNamespace(**vars(args)) and vars(args)["cmd"] == "verify"
+
+
 def test_file_errors_print_the_os_message(tmp_path, capsys):
     missing = tmp_path / "nope.mr"
     code, stdout, err = run(capsys, "verify", "--in", str(missing))

@@ -46,6 +46,49 @@ def test_make_tower_deterministic():
     assert make_tower(3, 2, 2) is make_tower(3, 2, 2)
 
 
+def test_make_tower_memoises_on_the_normalised_key():
+    t = make_tower(2)
+    assert make_tower(2, 1) is t and make_tower(p=2) is t and make_tower(2, 1, 1) is t
+    assert make_tower(2, m=1) is t and make_tower(m=1, a=1, p=2) is t
+    assert make_tower(2, 1, 2) is not t
+    make_tower.cache_clear()
+    fresh = make_tower(2, 1, 1)
+    assert fresh is not t and fresh == t
+    assert make_tower(2) is fresh
+
+
+def test_racing_builders_get_the_one_stored_tower():
+    from threading import Barrier, Thread
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            make_tower.cache_clear()
+            barrier, got = Barrier(4), []
+
+            def build():
+                barrier.wait(timeout=30)
+                got.append(make_tower(3, 1, 6))
+
+            threads = [Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == 4
+            assert all(tower is make_tower(3, 1, 6) for tower in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_make_tower_keeps_no_failed_build():
+    with pytest.raises(ParameterError):
+        make_tower(4)
+    assert (4, 1, 1) not in gf._TOWERS
+
+
 def test_arith_examples():
     F4 = make_tower(2, 1, 2).field("top")
     assert F4.mul(2, 3) == 1  # x * (x+1) = x^2 + x = 1 mod x^2+x+1

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from mrlrc import linalg
 from mrlrc.errors import ParameterError
 from mrlrc.gf import make_tower
 from mrlrc.linalg import (
     FieldMatrix,
+    _comb_tables,
     _rank_rows,
     _strided_combinations,
     _unrank_combination,
@@ -190,6 +193,15 @@ def test_unrank_combination_matches_lexicographic_order():
     for m, k in ((5, 2), (7, 3), (6, 6), (4, 1)):
         for idx, sel in enumerate(combinations(range(m), k)):
             assert _unrank_combination(m, k, idx) == sel
+
+
+def test_comb_tables_are_memoised_within_16_entries():
+    keys = [(m, k) for m in range(8) for k in range(m + 1)]  # 36 keys
+    for m, k in keys + keys[::-1]:
+        want = tuple(tuple(comb(c, s) for c in range(m + 1)) for s in range(k + 1))
+        assert _comb_tables(m, k) == want
+        assert _comb_tables(m, k) is _comb_tables(m, k)
+        assert len(linalg._COMB_TABLES) <= 16
 
 
 def test_strided_combinations_match_sliced_lexicographic_order():

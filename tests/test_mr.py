@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, product
 from math import comb
 
@@ -328,6 +329,44 @@ def test_pattern_count_and_first():
         assert len(cols) == len(set(cols)) == 3  # n*delta + h
         seen.add((p.per_group, p.extra))
     assert len(seen) == 36
+
+
+def test_subsets_are_memoised_within_16_entries():
+    keys = [(r, d) for r in range(7) for d in range(r + 1)]  # 28 keys
+    for r, d in keys + keys[::-1]:
+        assert mr._subsets(r, d) == tuple(combinations(range(r), d))
+        assert mr._subsets(r, d) is mr._subsets(r, d)
+        assert len(mr._SUBSETS) <= 16
+
+
+def test_bounded_memos_stay_right_under_racing_threads():
+    from threading import Thread
+
+    from mrlrc.linalg import _comb_tables
+
+    keys = [(r, d) for r in range(9) for d in range(r + 1)]  # 45 keys, past both caps
+    errors = []
+
+    def walk(order):
+        try:
+            for r, d in order * 20:
+                assert mr._subsets(r, d) == tuple(combinations(range(r), d))
+                assert _comb_tables(r, d)[d] == tuple(comb(c, d) for c in range(r + 1))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=walk, args=(keys[i::2] + keys[:i],)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_pattern_at_matches_stream():
