@@ -30,10 +30,11 @@ step adds the precomputed images of the code's low and high halves of
 digits (p^ceil(n/2) + p^floor(n/2) generic products in all, for n
 digits), held one digit per bit lane: XOR in characteristic 2, else a
 lane-wise conditional subtraction of p (`_lane_add`).  `_lane_layout`
-is the package's one packed-word layout: the table walk, the greedy
-span scan (`sdss._first_outside`) and the codeword walk
-(`codes._min_weight`) all lay their words out with it, and the last two
-count through base-p digits with `_counting_steps`.
+is the package's one packed-word layout: the table walk, the odd-p
+greedy span scan (`sdss._first_outside`; over F_2 it sieves blocks of
+codes instead) and the codeword walk (`codes._min_weight`) all lay
+their words out with it, and the last two count through base-p digits
+with `_counting_steps`.
 
 Everything is built in locals and published log first, exp next and
 the Zech table last: a thread that finds exp set also finds log, and

@@ -234,43 +234,94 @@ def _add_rows(checks: list, rows: list, p: int) -> list:
     return checks
 
 
+# The F_2 sieve splits a code as (block << b) | L with b = min(n, _SIEVE_BITS)
+# and reads the L of one block as the bits of an int of 2^b bits.
+_SIEVE_BITS = 10
+_ODD: dict[int, list[int]] = {}  # b: _odd_masks(b), built on first use
+
+
+def _odd_masks(b: int) -> list[int]:
+    """odd[v] for every v < 2^b: the 2^b-bit int with bit L set exactly
+    when v & L has odd parity.  It is the XOR of the masks of the bits
+    of v, mask i holding the L with bit i set.  Threads that race here
+    build equal tables, and all get the one stored first."""
+    odd = _ODD.get(b)
+    if odd is None:
+        size = 1 << b
+        every = (1 << size) - 1
+        # mask i repeats 2^i zeros then 2^i ones
+        bits = [every // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                for i in range(b)]
+        odd = [0] * size
+        for v in range(1, size):
+            lowest = v & -v
+            odd[v] = odd[v ^ lowest] ^ bits[lowest.bit_length() - 1]
+        odd = _ODD.setdefault(b, odd)
+    return odd
+
+
 def _first_outside(p: int, n: int, check_sets: list[list], start: int) -> int | None:
     """Smallest code in [start, p^n) whose base-p digits (lowest first)
     fail some check of every set, or None.
 
-    Each set is one field of `gf._lane_layout`, one lane per check, so
-    the word holds all syndromes of the current code, and a set's guard
-    bit survives the zero test exactly when the code lies outside its
-    span.  The codes are counted through with `gf._counting_steps`: one
-    lane-wise mod-p addition per code.  For p = 2 the checks are packed
-    ints (`_identity`), read bit by bit.
+    For p = 2 the checks are packed ints (`_identity`) and the codes are
+    sieved a block at a time: code c = (blk << b) | L, b = min(n,
+    _SIEVE_BITS), has syndrome parity((y >> b) & blk) ^ parity(y & low &
+    L) on check y, so the L of block blk inside one span are the AND over
+    its checks of odd[y & low] (`_odd_masks`) or its complement, as the
+    high part's parity is 1 or 0; a span that misses the block stops at
+    the check that empties its mask.  The spans' masks are ORed until
+    they cover the block, and the answer is the lowest bit they leave,
+    at or above start.  This is the code the odd-p scan below would
+    reach.
+
+    For odd p each set is one field of `gf._lane_layout`, one lane per
+    check, so the word holds all syndromes of the current code, and a
+    set's guard bit survives the zero test exactly when the code lies
+    outside its span.  The codes are counted through with
+    `gf._counting_steps`: one lane-wise mod-p addition per code.
     """
+    if p == 2:
+        b = min(n, _SIEVE_BITS)
+        low = (1 << b) - 1
+        full = (1 << (1 << b)) - 1
+        odd = _odd_masks(b)
+        sieves = [[(y >> b, odd[y & low]) for y in checks] for checks in check_sets]
+        skip = start & low
+        for blk in range(start >> b, 1 << (n - b)):
+            covered = 0
+            for checks in sieves:
+                inside = full
+                for high, mask in checks:
+                    if (high & blk).bit_count() & 1:
+                        inside &= mask
+                    else:
+                        inside &= ~mask
+                    if not inside:  # the span misses this block
+                        break
+                else:
+                    covered |= inside
+                    if covered == full:
+                        break
+            free = (full ^ covered) >> skip << skip
+            if free:
+                return (blk << b) | ((free & -free).bit_length() - 1)
+            skip = 0
+        return None
     w, offsets, ones, guards, tops, bias = _lane_layout(p, map(len, check_sets))
     cols = [0] * n
     for checks, shift in zip(check_sets, offsets):
         for j, y in enumerate(checks):
             lane = 1 << (shift + j * w)
-            if p == 2:
-                while y:
-                    low = y & -y
-                    cols[low.bit_length() - 1] |= lane
-                    y ^= low
-            else:
-                for i, d in enumerate(y):
-                    if d:
-                        cols[i] |= d * lane
+            for i, d in enumerate(y):
+                if d:
+                    cols[i] |= d * lane
     steps = _counting_steps(cols, p, w, tops, bias)
     word = 0
     for col, d in zip(cols, _digits(start, p, n)):
         for _ in range(d):
             word = _lane_add(word, col, p, w, tops, bias)
-    # the scans below take `_lane_add` inline: it is most of their time
-    if p == 2:
-        for c in range(start, 1 << n):
-            if ((word | guards) - ones) & guards == guards:
-                return c
-            word ^= steps[(c ^ (c + 1)).bit_length() - 1]
-        return None
+    # the scan takes `_lane_add` inline: it is most of its time
     last = p - 1
     for c in range(start, p**n):
         if ((word | guards) - ones) & guards == guards:
@@ -295,14 +346,16 @@ def gv_greedy(t: FieldTower, n: int, r: int, h: int,
     where the guarantee of finding such a vector is void.
 
     Each slot scans the codes against an F_p parity-check basis of every
-    span it must avoid, with all their syndromes packed into one int
-    (`_first_outside`).  A code's F_p coordinates are the base-p digits
-    of the code itself.  The bases are updated, never recomputed: the
-    base span of each (h-1)-subset of groups is folded once, row by row
-    (`_add_row`), from its prefix subset's, and within a group each
-    chosen vector's rows are folded into every current basis.  The scan
-    resumes after the previous slot's vector: the spans only grow from
-    slot to slot, so every code up to that vector is still inside one.
+    span it must avoid (`_first_outside`: over F_2 a sieve of 2^b codes
+    at a time on masks of odd syndromes, for odd p one packed word of
+    all the syndromes per code).  A code's F_p coordinates are the
+    base-p digits of the code itself.  The bases are updated, never
+    recomputed: the base span of each (h-1)-subset of groups is folded
+    once, row by row (`_add_row`), from its prefix subset's, and within
+    a group each chosen vector's rows are folded into every current
+    basis.  The scan resumes after the previous slot's vector: the spans
+    only grow from slot to slot, so every code up to that vector is
+    still inside one.
     """
     q, m = t.q, t.m
     need = gv_dimension(q, n, r, h)
@@ -390,8 +443,9 @@ def _ell_basis(t: FieldTower, ell_basis_fq: list[int], r: int) -> list[int]:
     """Greedy F_{q^u}-basis of the top field, in ascending code order:
     each element is the first code outside the F_{q^u}-span of those
     chosen before it (the F_q-span of g * code over the F_q-basis g of
-    F_{q^u}), found by gv_greedy's scan (_first_outside) against a check
-    basis that each chosen element's rows are folded into (_add_row)."""
+    F_{q^u}), found by gv_greedy's scan (_first_outside, the block sieve
+    over F_2) against a check basis that each chosen element's rows are
+    folded into (_add_row)."""
     F = t.field("top")
     p, width = t.p, t.a * t.m
     chosen: list[int] = []

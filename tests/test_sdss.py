@@ -363,6 +363,64 @@ def test_packed_check_bases_match_digit_lists():
     check()
 
 
+def _first_outside_packed(n, check_sets, start):
+    """Oracle: the F_2 scan code by code on packed ints, a syndrome the
+    parity of y & code."""
+    for code in range(start, 1 << n):
+        if all(any((y & code).bit_count() & 1 for y in checks) for checks in check_sets):
+            return code
+    return None
+
+
+def test_f2_block_sieve_matches_code_by_code_scan(monkeypatch):
+    # n up to 14 spans several blocks of 2^b codes; the sieve's answer
+    # must not depend on b, so small b are drawn too.  Starts fall on
+    # block boundaries and on the last code of a block.  A set of no
+    # checks is the whole space, and no sets at all leave every code
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        bits = data.draw(st.sampled_from((1, 2, 3, 10)))
+        monkeypatch.setattr(sdss_module, "_SIEVE_BITS", bits)
+        n = data.draw(st.integers(1, 14))
+        check_sets = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            size = data.draw(st.integers(0, n))
+            if size == n:
+                rows = [1 << i for i in range(n)]  # folds to no checks
+            else:
+                rows = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(size)]
+            checks = _identity(2, n)
+            for row in rows:
+                checks = _add_row(checks, row, 2)
+            check_sets.append(checks)
+        b = min(n, bits)
+        start = data.draw(st.one_of(
+            st.sampled_from((0, (1 << n) - 1, 1 << n)),
+            st.integers(0, 1 << (n - b)).map(lambda k: k << b),
+            st.integers(1, 1 << (n - b)).map(lambda k: (k << b) - 1),
+            st.integers(0, 1 << n),
+        ))
+        assert sdss_module._first_outside(2, n, check_sets, start) == \
+            _first_outside_packed(n, check_sets, start)
+
+    check()
+
+
+@pytest.mark.parametrize("tower, n, r, h, digest", [
+    ((2, 1, 24), 16, 6, 3, "a741f75ebafa6df4f2ac91c7dabf5090e717193f0cded29e277e29b17ae07083"),
+    ((2, 2, 11), 8, 3, 3, "bb1ccf34c285cb8a797062507484a3f2228a2a990bb2d35638335626dedad9ab"),
+], ids=["gv-2-24", "gv-4-11"])
+def test_gv_greedy_pinned_digests(tower, n, r, h, digest):
+    # recorded from the code-by-code F_2 scan that the block sieve replaced
+    S = gv_greedy(make_tower(*tower), n, r, h)
+    assert S.certified and S.certified_sample is None
+    assert hashlib.sha256(format_sdss(S).encode()).hexdigest() == digest
+
+
 # (label in perfbench/spec.json, tower, n, r, h) of the benchmark's two
 # slowest construct commands
 GV_BENCH = [("gv-2-16", (2, 1, 16), 8, 4, 3), ("gv-2-13", (2, 1, 13), 10, 3, 3)]
