@@ -217,19 +217,11 @@ def _sdss_builder(args, s_dim: int, h: int, n: int):
         t = make_tower(*q_args, args.m if args.m is not None else need)
         return lambda: sdss.gv_greedy(t, n, s_dim, h, budget)
     t = make_tower(*q_args)
-
-    def build():
-        S = sdss.subfield_construct(t, 1 if args.u is None else args.u, s_dim, h, budget)
-        if S.n < n:
-            raise ParameterError(
-                f"subfield construction yields n={S.n} groups, fewer than requested {n}"
-            )
-        return sdss.restrict(S, n, budget) if S.n > n else S
-
-    return build
+    u = 1 if args.u is None else args.u
+    return lambda: sdss.subfield_construct(t, u, s_dim, h, budget, n)
 
 
-def _parse_inner(spec: str, tower, budget: int | None = None):
+def _parse_inner(spec: str, tower):
     """Inner code spec: bch:<r>:<delta> or rs:<r>:<s>; returns (s, parity)."""
     parts = spec.split(":")
     if len(parts) != 3:
@@ -246,10 +238,10 @@ def _parse_inner(spec: str, tower, budget: int | None = None):
         t_exp = (r + 1).bit_length() - 1
         if 2**t_exp - 1 != r:
             raise ParameterError("bch inner length must be 2^t - 1")
-        H = bch_parity_check(t_exp, x, budget)
+        H = bch_parity_check(t_exp, x)
         return H.rows, H
     if kind == "rs":
-        H = rs_parity_check(make_tower(tower.p, tower.a), "mid", r, x, budget)
+        H = rs_parity_check(make_tower(tower.p, tower.a), "mid", r, x)
         return x, H
     raise ParameterError(f"unknown inner code kind {kind!r}")
 
@@ -272,7 +264,7 @@ def cmd_construct(args) -> int:
     if args.method == "concat":
         if not args.inner:
             raise ParameterError("concat construction needs --inner")
-        s_dim, inner = _parse_inner(args.inner, t_q, args.budget)
+        s_dim, inner = _parse_inner(args.inner, t_q)
         if inner.cols != r:
             raise ParameterError(
                 f"inner code length {inner.cols} does not match --r {r}"

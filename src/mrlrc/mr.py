@@ -247,7 +247,10 @@ def _moore_band(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix | None,
     (checked first), a foreign tower, mismatched parameters or a weak
     inner code, then put A on every group and, per group, the Moore
     block of its basis vectors (inner None) or of their combinations by
-    the inner parity columns."""
+    the inner parity columns.  A is tested MDS here, the one such test
+    of construction and the one verify's gate runs on a loaded file,
+    whenever its C(r, delta) column subsets fit the budget; a failure
+    is a broken invariant (AssertionError)."""
     t = spec.tower
     if not S.certified:
         raise ParameterError("refusing to build on an uncertified system")
@@ -286,6 +289,9 @@ def _moore_band(spec: MrCodeSpec, S: SubspaceSystem, inner: FieldMatrix | None,
         groups = (FieldMatrix.from_rows(t, "mid", group) for group in S.basis)
         alphas = [[t.vec_to_top(vec_mat(col, G)) for col in cols] for G in groups]
     A = local_parity_check(t, spec.r, spec.delta)
+    if (comb(spec.r, spec.delta) <= config.subset_budget(budget)
+            and not is_mds_parity_check(A, spec.delta)):
+        raise AssertionError("local parity block is not MDS")
     D = [moore_matrix(t, a, spec.h) for a in alphas]
     return MrParityCheck(spec, A, D, check=False)
 

@@ -416,7 +416,7 @@ def mds_construct(t: FieldTower, n: int, r: int, h: int,
     if t.m != h * r:
         raise ParameterError(f"ambient tower must have extension degree h*r={h * r}")
     helper = make_tower(t.p, t.a, r)
-    H = rs_parity_check(helper, "top", n, h, budget)
+    H = rs_parity_check(helper, "top", n, h)
     basis = [[tuple(v) for v in pi_rows(helper, H.column(i))] for i in range(n)]
     return _certify(SubspaceSystem(t, n, r, h, basis), budget)
 
@@ -462,39 +462,48 @@ def _ell_basis(t: FieldTower, ell_basis_fq: list[int], r: int) -> list[int]:
 
 
 def subfield_construct(t: FieldTower, u: int, r: int, h: int,
-                       budget: int | None = None) -> SubspaceSystem:
-    """System with n = 1 + q^(u*r) groups by cutting the MDS block
-    construction over F_{q^u} down to F_q coordinates.
+                       budget: int | None = None, n: int | None = None) -> SubspaceSystem:
+    """System on the first n (default all) of the 1 + q^(u*r) groups
+    got by cutting the MDS block construction over F_{q^u} down to F_q
+    coordinates; only the n groups kept are certified.
 
     Only the base field of t (p, a) is used; the returned system lives
-    in a tower whose extension degree is the achieved parity rank,
-    which is at most h*u*r.  _ell_basis gives the F_{q^u}-basis for
-    every u; at u = 1 it is the polynomial basis 1, q, ..., q^(r-1).
+    in a tower whose extension degree is the parity rank of the whole
+    construction, which is at most h*u*r, whatever n is.  _ell_basis
+    gives the F_{q^u}-basis for every u; at u = 1 it is the polynomial
+    basis 1, q, ..., q^(r-1).  An n above the count is refused before
+    anything is built.
     """
     from .codes import rs_parity_check
 
     if u < 1 or r < 1:
         raise ParameterError("need u, r >= 1")
     q = t.q
-    n = 1 + q ** (u * r)
-    if not 1 <= h < n:
+    total = 1 + q ** (u * r)
+    if not 1 <= h < total:
         raise ParameterError("need 1 <= h < n")
+    if n is None:
+        n = total
+    if n > total:
+        raise ParameterError(
+            f"subfield construction yields n={total} groups, fewer than requested {n}"
+        )
     big = make_tower(t.p, t.a, u * r)
-    H = rs_parity_check(big, "top", n, h, budget)
+    H = rs_parity_check(big, "top", total, h)
     Ftop = big.field("top")
     bvecs = _ell_basis(big, _subfield_inside(big, u), r)
     # row s is H[s][j]*b over the groups j and the basis vectors b
-    rows = [[Ftop.mul(H.at(s, j), b) for j in range(n) for b in bvecs]
+    rows = [[Ftop.mul(H.at(s, j), b) for j in range(total) for b in bvecs]
             for s in range(h)]
     Hq = subfield_subcode(FieldMatrix.from_rows(big, "top", rows))
     block = BlockCode(LinearCode.from_parity(Hq), r)
-    return from_block_code(block, h, budget)
+    return restrict(_dual_system(block, h, budget), n, budget)
 
 
 def restrict(S: SubspaceSystem, n_new: int,
              budget: int | None = None) -> SubspaceSystem:
-    """The system on the first n_new groups; direct sums are inherited,
-    but the result is re-certified from scratch anyway."""
+    """The system on the first n_new groups of S, certified on those
+    groups alone; S itself need not be certified."""
     if not S.h <= n_new <= S.n:
         raise ParameterError("need h <= n_new <= n")
     sub = SubspaceSystem(S.tower, n_new, S.r, S.h, S.basis[:n_new])
@@ -513,12 +522,19 @@ def to_block_code(S: SubspaceSystem) -> BlockCode:
 
 
 def from_block_code(B: BlockCode, h: int, budget: int | None = None) -> SubspaceSystem:
-    """System spanned by the column groups of a dual generator matrix.
+    """System spanned by the column groups of a dual generator matrix
+    (`_dual_system`), certified on all of its groups."""
+    return _certify(_dual_system(B, h, budget), budget)
+
+
+def _dual_system(B: BlockCode, h: int, budget: int | None) -> SubspaceSystem:
+    """The uncertified system spanned by the column groups of the rref
+    of B's parity check, in the tower whose extension degree is its rank.
 
     The distance precondition d_B >= h+1 is checked exactly by
     `block_min_distance` (dependent parity-column blocks or a codeword
     walk, whichever costs less) when the codebook fits the budget, and
-    otherwise left to the direct-sum certification that follows.
+    otherwise left to the certification of the caller.
     """
     if h < 1:
         raise ParameterError("need h >= 1")
@@ -540,5 +556,4 @@ def from_block_code(B: BlockCode, h: int, budget: int | None = None) -> Subspace
     for i in range(n):
         group = [tuple(dual_rows[w][i * r + j] for w in range(m)) for j in range(r)]
         basis.append(group)
-    S = SubspaceSystem(ambient, n, r, h, basis)
-    return _certify(S, budget)
+    return SubspaceSystem(ambient, n, r, h, basis)

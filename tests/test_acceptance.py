@@ -16,6 +16,7 @@ import pytest
 from mrlrc import config
 from mrlrc.cli import main as cli_main
 from mrlrc.codes import (
+    BlockCode,
     bch_parity_check,
     block_distance_at_least,
     block_min_distance,
@@ -147,7 +148,7 @@ def test_criterion_3_concatenated_bch_instance():
     try:
         t0 = perf_counter()
         inner = bch_parity_check(4, 2)  # [15, 7, 5]
-        assert (15 - inner.rows, LinearCode.from_parity(inner).min_distance()) == (7, 5)
+        assert (15 - inner.rows, block_min_distance(BlockCode(LinearCode.from_parity(inner), 1))) == (7, 5)
         s = inner.rows
         assert s == 8
         t16 = make_tower(2, 1, 16)

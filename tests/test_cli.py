@@ -260,6 +260,8 @@ def test_huge_field_parameters_exit_2_at_once(tmp_path, capsys, argv, message):
      "h cannot exceed the number of subspaces"),
     (["sdss", "--p", "2", "--r", "3", "--h", "3", "--n", "2", "--sdss", "subfield",
       "--u", "1"], "h cannot exceed the number of subspaces"),
+    (["sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "6", "--sdss", "subfield",
+      "--u", "1"], "subfield construction yields n=5 groups, fewer than requested 6"),
 ])
 def test_bad_system_parameters_exit_2(tmp_path, capsys, argv, message):
     if argv[0] != "bounds":
@@ -268,6 +270,19 @@ def test_bad_system_parameters_exit_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert stdout == ""
     assert err.splitlines() == [f"error: {message}"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_subfield_n_above_its_count_exits_2_at_once(tmp_path, capsys):
+    # q = 4, u = 2, r = 2 yields 1 + 4^4 = 257 groups: 258 is refused
+    # before the 257 groups are built and certified
+    argv = ["sdss", "--p", "2", "--a", "2", "--r", "2", "--h", "3", "--n", "258",
+            "--sdss", "subfield", "--u", "2", "--out", str(tmp_path / "x")]
+    message = "error: subfield construction yields n=257 groups, fewer than requested 258"
+    t0 = perf_counter()
+    code, stdout, err = run(capsys, *argv)
+    assert perf_counter() - t0 < 1
+    assert (code, stdout, err.splitlines()) == (2, "", [message])
     assert not any(tmp_path.iterdir())
 
 

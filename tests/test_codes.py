@@ -2,11 +2,10 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
-from math import comb
 
 import pytest
 
-from mrlrc import codes
+from mrlrc import codes, config
 from mrlrc.codes import (
     BlockCode,
     LinearCode,
@@ -84,25 +83,23 @@ def test_rs_extended_f2():
     assert is_mds_parity_check(A, 2)
 
 
-@pytest.mark.parametrize("q_args,r,delta", [
-    ((2,), 3, 1), ((3,), 4, 2), ((5,), 6, 3), ((2, 2), 5, 2), ((2, 2), 5, 4),
-])
+# rs_parity_check rests on the theorem that a Vandermonde matrix on
+# distinct nodes is MDS; this is its oracle on every local code over
+# q in {2, 3, 4, 5, 7, 8} (r <= q+1) and, at the top level of F_16,
+# on every RS code of length up to 17 with at most 4 parity rows
+_RS_GRID = [((2,), 3, 1), ((3,), 4, 2), ((5,), 6, 3), ((2, 2), 5, 2), ((2, 2), 5, 4)]
+_RS_GRID += [shape for q_args, q in (((2,), 2), ((3,), 3), ((2, 2), 4), ((5,), 5),
+                                     ((7,), 7), ((2, 3), 8))
+             for r in range(2, q + 2) for delta in range(1, r)
+             if (shape := (q_args, r, delta)) not in _RS_GRID]
+_RS_GRID += [((2, 1, 4), r, delta) for r in range(2, 18) for delta in range(1, min(r, 5))]
+
+
+@pytest.mark.parametrize("q_args,r,delta", _RS_GRID)
 def test_rs_parity_is_mds_across_grid(q_args, r, delta):
     t = make_tower(*q_args)
-    level = "mid" if len(q_args) > 1 else "prime"
+    level = ("prime", "mid", "top")[len(q_args) - 1]
     assert is_mds_parity_check(rs_parity_check(t, level, r, delta), delta)
-
-
-def test_rs_self_test_runs_within_the_budget(monkeypatch):
-    import mrlrc.linalg
-
-    calls = []
-    monkeypatch.setattr(mrlrc.linalg, "is_mds_parity_check",
-                        lambda A, delta: calls.append(delta) or True)
-    t = make_tower(2, 1, 4)
-    rs_parity_check(t, "top", 6, 3, budget=comb(6, 3))
-    rs_parity_check(t, "top", 6, 3, budget=comb(6, 3) - 1)
-    assert calls == [3]
 
 
 def test_rs_rejects_too_long():
@@ -129,13 +126,13 @@ def test_bch_hamming_15_11_3():
     H = bch_parity_check(4, 1)
     assert 15 - H.rows == 11  # n - delta*t_exp
     code = LinearCode.from_parity(H)
-    assert code.min_distance() == 3
+    assert block_min_distance(BlockCode(code, 1)) == 3
 
 
 def test_bch_15_7_5():
     H = bch_parity_check(4, 2)
     assert 15 - H.rows == 7
-    assert LinearCode.from_parity(H).min_distance() == 5
+    assert block_min_distance(BlockCode(LinearCode.from_parity(H), 1)) == 5
 
 
 def test_bch_7_4_3_exhaustive_oracle():
@@ -150,6 +147,22 @@ def test_bch_7_4_3_exhaustive_oracle():
     # every codeword satisfies the parity equations
     for cw in brute_codewords(F, gen):
         assert mat_vec(H, cw) == [0] * H.rows
+
+
+@pytest.mark.parametrize("t_exp,checked", [(3, [1, 2]), (4, [1, 2, 3]), (5, [3, 4, 5, 6])])
+def test_bch_meets_its_designed_distance(t_exp, checked):
+    # bch_parity_check rests on the BCH bound; this is its oracle on every
+    # code of length 2^t_exp - 1 whose codebook fits the default budget
+    n = 2**t_exp - 1
+    seen = []
+    for delta in range(1, n):
+        if delta * t_exp >= n:
+            break
+        code = LinearCode.from_parity(bch_parity_check(t_exp, delta))
+        if 2**code.dim <= config.CODEBOOK_BUDGET:
+            assert block_min_distance(BlockCode(code, 1)) >= 2 * delta + 1
+            seen.append(delta)
+    assert seen == checked
 
 
 def test_bch_preconditions():
@@ -177,7 +190,7 @@ def test_subfield_subcode_of_rs_over_f4():
     sub = LinearCode.from_parity(Hq)
     assert sub.dim >= 5 - 2 * 2  # n - (n-k)*u
     assert sub.dim >= 1
-    assert sub.min_distance() >= 3
+    assert block_min_distance(BlockCode(sub, 1)) >= 3
 
     # oracle: the literal intersection with F_2^5
     F4 = t.field("top")
@@ -404,8 +417,8 @@ def test_route_choice(monkeypatch):
     assert calls == {"gray": 0, "parity": 1}
     # BCH(15, 7): 2^7 codewords against the C(15, t) of t <= 9
     calls.update(gray=0, parity=0)
-    assert LinearCode.from_parity(bch_parity_check(4, 2)).min_distance() == 5
-    assert calls == {"gray": 2, "parity": 0}  # once inside bch_parity_check
+    assert block_min_distance(BlockCode(LinearCode.from_parity(bch_parity_check(4, 2)), 1)) == 5
+    assert calls == {"gray": 1, "parity": 0}
     # pi-expanded RS[10, 3] over F_16: 4,096 codewords against 1,012
     # subsets, which would take 968 checks to reach d = 8
     calls.update(gray=0, parity=0)
@@ -416,8 +429,8 @@ def test_route_choice(monkeypatch):
     # even-weight [16, 15, 2] over F_2: 136 subsets against 2^15 codewords
     calls.update(gray=0, parity=0)
     t = make_tower(2)
-    assert LinearCode.from_parity(FieldMatrix.from_rows(t, "prime", [[1] * 16])
-                                  ).min_distance() == 2
+    even = LinearCode.from_parity(FieldMatrix.from_rows(t, "prime", [[1] * 16]))
+    assert block_min_distance(BlockCode(even, 1)) == 2
     assert calls == {"gray": 0, "parity": 1}
 
 

@@ -96,6 +96,33 @@ def test_subfield_u1_sdss_matches_recorded_output(args, stdout, sha256, tmp_path
     assert _sha256(out) == sha256
 
 
+# `mrlrc sdss --sdss subfield` kept to fewer groups than it yields:
+# (arguments, stdout, SHA-256 of the system file), recorded while every
+# group was built and certified before the first n were kept
+SUBFIELD_RESTRICTED_SDSS = [
+    (["--p", "2", "--r", "2", "--h", "3", "--n", "12", "--u", "2"],
+     ["n=12 r=2 h=3 m=10 q=2 certified=1"],
+     "7d98e6b12d12ac383fe81f9e44d6c52c88c46e52282811f4c6530cff245873f9"),
+    (["--p", "3", "--r", "2", "--h", "2", "--n", "7", "--u", "1"],
+     ["n=7 r=2 h=2 m=4 q=3 certified=1"],
+     "e9e35b3db7f6710b5fcb078ca75755fa240d7e34ca91addeaa32b210d11600fb"),
+    (["--p", "2", "--a", "2", "--r", "2", "--h", "3", "--n", "65", "--u", "2"],
+     ["n=65 r=2 h=3 m=10 q=4 certified=1"],
+     "1a394b51054464fc6df2d19d0de6854e6158c69c8b022ddd1621ff786461fc22"),
+]
+
+
+@pytest.mark.parametrize("args,stdout,sha256", SUBFIELD_RESTRICTED_SDSS,
+                         ids=["q2-n12", "q3-n7", "q4-n65"])
+def test_restricted_subfield_sdss_matches_recorded_output(args, stdout, sha256, tmp_path,
+                                                          capsys, monkeypatch):
+    monkeypatch.delenv("MRLRC_BUDGET", raising=False)
+    out = tmp_path / "subfield.sdss"
+    assert main(["sdss", *args, "--sdss", "subfield", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == stdout
+    assert _sha256(out) == sha256
+
+
 # `mrlrc construct --method concat` with Reed-Solomon inner codes over
 # F_3 and F_4: (arguments, stdout, SHA-256 of the code and system files)
 CONCAT_RS = [

@@ -181,6 +181,17 @@ def test_build_direct_rejects_uncertified():
         build_direct(spec, S)
 
 
+def test_build_direct_refuses_a_local_block_that_is_not_mds(monkeypatch):
+    # the one MDS test of construction: column 2 of [1 1 0] is zero
+    t = make_tower(2, 1, 6)
+    S = mds_construct(t, 5, 3, 2)
+    spec = MrCodeSpec(n=5, r=3, h=2, delta=1, tower=t)
+    monkeypatch.setattr(mr, "local_parity_check",
+                        lambda t, r, delta: FieldMatrix.from_rows(t, "mid", [[1, 1, 0]]))
+    with pytest.raises(AssertionError, match="not MDS"):
+        build_direct(spec, S)
+
+
 def test_verify_mr_catches_duplicated_groups():
     spec, P = build_example()
     bad = MrParityCheck(spec, P.A, [P.D[0], P.D[0]] + P.D[2:])
