@@ -206,12 +206,7 @@ def _sdss_builder(args, s_dim: int, h: int, n: int):
     if args.sdss == "mds":
         m = args.m if args.m is not None else h * s_dim
         t = make_tower(*q_args, m)
-        if n > h:
-            return lambda: sdss.mds_construct(t, n, s_dim, h, budget)
-        # the MDS construction needs more groups than h; build one spare
-        # group and drop it so n = h still works
-        return lambda: sdss.restrict(
-            sdss.mds_construct(t, h + 1, s_dim, h, budget), n, budget)
+        return lambda: sdss.mds_construct(t, n, s_dim, h, budget)
     if args.sdss == "gv":
         need = sdss.gv_dimension(q, n, s_dim, h)
         t = make_tower(*q_args, args.m if args.m is not None else need)

@@ -12,7 +12,8 @@ greedy span scan, on codewords packed into one int by `gf._lane_layout`
 with one field per block.
 Top-level parity rows become F_q coordinate rows only in
 `subfield_subcode`, and the multiples l*x, l in the F_q-basis of the
-top field, only in `pi_rows`.
+top field, only in `pi_rows`.  The pi-expansion of a whole code and the
+block weight of one vector are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -297,36 +298,6 @@ def pi_rows(t: FieldTower, syms) -> list[list[int]]:
             for l in t.fq_basis()]
 
 
-def pi_expand(C: LinearCode) -> BlockCode:
-    """Expand a code over F_{q^r} into a block code over F_q.
-
-    Every codeword symbol becomes its r coordinates over F_q, so the
-    dimension multiplies by r and block distance equals the parent
-    Hamming distance.
-    """
-    if C.level != "top":
-        raise ParameterError("parent code must live at the top level")
-    t = C.tower
-    r = t.m
-    G = C.generator_matrix()
-    rows = [row for gi in G.to_rows() for row in pi_rows(t, gi)]
-    if not rows:
-        empty = FieldMatrix(t, "mid", 0, C.length * r, [])
-        return BlockCode(LinearCode.from_generator(empty), r)
-    Gb = FieldMatrix.from_rows(t, "mid", rows)
-    if rank(Gb) != G.rows * r:
-        raise AssertionError("block expansion lost dimension")
-    return BlockCode(LinearCode.from_generator(Gb), r)
-
-
-def block_weight(v, r: int) -> int:
-    """Number of nonzero length-r blocks of v."""
-    v = list(v)
-    if r < 1 or len(v) % r:
-        raise ParameterError("vector length must be a multiple of r")
-    return sum(1 for i in range(0, len(v), r) if any(v[i : i + r]))
-
-
 def block_min_distance(B: BlockCode, budget: int | None = None) -> int:
     """Exact minimum block weight over nonzero codewords; n+1 for the
     zero-dimensional code.
@@ -336,22 +307,3 @@ def block_min_distance(B: BlockCode, budget: int | None = None) -> int:
     a counting walk over all q^k codewords.  The codebook budget (BudgetError)
     applies to both."""
     return _distance(B.code, B.block_size, budget)
-
-
-def block_distance_at_least(B: BlockCode, t: int, budget: int | None = None) -> bool:
-    """Exact test d_B(B) >= t+1 via parity-column ranks.
-
-    Equivalent to the enumeration route: a nonzero codeword supported on
-    some t blocks exists iff those t*r parity columns are dependent.
-    Exhausts all C(n, t) block subsets.
-    """
-    if t < 0:
-        raise ParameterError("t must be >= 0")
-    if t == 0:
-        return True
-    n, r = B.n_blocks, B.block_size
-    total = comb(n, t)
-    if total > config.subset_budget(budget):
-        raise BudgetError(f"{total} block subsets exceed the budget")
-    blocks = _column_blocks(B.code.parity_matrix(), r)
-    return first_dependent_subset(B.code.field(), blocks, t)[0] is None

@@ -5,15 +5,17 @@ write/read round trip reproduces bitwise-identical in-memory values.
 Formats:
 
 matrix        %MRLRC-MATRIX v1 / tower line / level= rows= cols= / rows
-code          %code n= k= r_block= / matrix
+              (the block format of mr parity files; parse_matrix reads one)
 sdss          %MRLRC-SDSS v1 / tower line / n= r= h= m= certified= / vectors
 mr parity     %MRLRC-MR v1 / tower line / n= r= h= delta= / A matrix / D_i matrices
 codeword      one element code per line
+
+The sdss and mr parsers refuse anything after the vectors or blocks
+that their header declares.
 """
 
 from __future__ import annotations
 
-from .codes import BlockCode, LinearCode
 from .errors import FormatError
 from .gf import parse_tower_line, tower_line
 from .linalg import FieldMatrix
@@ -106,27 +108,6 @@ def parse_matrix(text: str) -> FieldMatrix:
     return _read_matrix(_Lines(text))
 
 
-# -- codes ----------------------------------------------------------------
-
-
-def format_code(C: LinearCode, r_block: int = 1) -> str:
-    head = f"%code n={C.length} k={C.dim} r_block={r_block}\n"
-    return head + format_matrix(C.parity_matrix())
-
-
-def parse_code(text: str) -> BlockCode:
-    cur = _Lines(text)
-    head = cur.next()
-    if not head.startswith("%code "):
-        raise FormatError("not a code file")
-    fields = _parse_kv(head[len("%code "):], ("n", "k", "r_block"))
-    H = _read_matrix(cur)
-    code = LinearCode.from_parity(H)
-    if code.length != _int(fields, "n") or code.dim != _int(fields, "k"):
-        raise FormatError("code header disagrees with the parity matrix")
-    return BlockCode(code, _int(fields, "r_block"))
-
-
 # -- subspace systems -------------------------------------------------------
 
 
@@ -169,6 +150,8 @@ def parse_sdss(text: str) -> SubspaceSystem:
                 raise FormatError("basis vector has the wrong width")
             group.append(tuple(v))
         basis.append(group)
+    if not cur.done():
+        raise FormatError("trailing content after the basis vectors")
     try:
         return SubspaceSystem(tower, n, r, h, basis, certified=bool(certified))
     except Exception as exc:
@@ -248,7 +231,5 @@ def sniff_kind(text: str) -> str:
                 return "sdss"
             if line == MATRIX_MAGIC:
                 return "matrix"
-            if line.startswith("%code"):
-                return "code"
             return "vector"
     raise FormatError("empty file")

@@ -3,8 +3,8 @@
 Matrices are immutable row-major lists of int element codes.  One
 Gaussian elimination kernel, `_echelonize` (deterministic pivoting:
 first nonzero entry per column, columns scanned left to right), is
-behind `rref`, `rank`, `solve`, `kernel`, `det` and every rank check in
-the package on lists of field elements; F_2 vectors packed into ints
+behind `rref`, `rank`, `solve`, `kernel` and every rank check in the
+package on lists of field elements; F_2 vectors packed into ints
 are ranked by one XOR basis (`_xor_rank`).  `first_dependent_subset`
 is the package's one walk over the k-subsets of groups of rows that
 must stay independent: MDS column checks, direct sums of subspaces,
@@ -219,46 +219,6 @@ def _xor_rank(rows, basis=None) -> int:
     return len(basis)
 
 
-def det(M: FieldMatrix) -> int:
-    """Determinant: the product of the pivots of the unreduced
-    elimination, negated when its row swaps make an odd permutation."""
-    if M.rows != M.cols:
-        raise ParameterError("determinant needs a square matrix")
-    F = M.field()
-    work = M.to_rows()
-    start = [id(row) for row in work]
-    if len(_echelonize(F, work, reduced=False)) < M.rows:
-        return 0
-    # the kernel moves row objects, so their identities give the permutation
-    end = {id(row): i for i, row in enumerate(work)}
-    perm = [end[x] for x in start]
-    odd = False
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], j
-            odd = not odd
-    d = F.neg(1) if odd else 1
-    for i, row in enumerate(work):
-        d = F.mul(d, row[i])
-    return d
-
-
-def _reduce_against(F: Field, echelon, vec) -> list[int]:
-    """Remainder of vec against (pivot column, row) pairs of an echelon
-    basis with unit pivots, in pivot order; all zero iff vec lies in
-    their span."""
-    sub, mul = F.sub, F.mul
-    v = list(vec)
-    for pivot_col, row in echelon:
-        c = v[pivot_col]
-        if c:
-            for t in range(pivot_col, len(v)):
-                if row[t]:
-                    v[t] = sub(v[t], mul(c, row[t]))
-    return v
-
-
 def solve(M: FieldMatrix, b) -> list[int] | None:
     """One solution of M x = b (free variables zero), or None."""
     b = list(b)
@@ -339,24 +299,6 @@ def vec_mat(v, M: FieldMatrix) -> list[int]:
                 if e:
                     acc[j] = add(acc[j], mul(vk, e))
     return acc
-
-
-def mat_vec(M: FieldMatrix, v) -> list[int]:
-    """Matrix times column vector."""
-    v = list(v)
-    if len(v) != M.cols:
-        raise ParameterError("vector length mismatch")
-    F = M.field()
-    add, mul = F.add, F.mul
-    out = []
-    for i in range(M.rows):
-        row = M.row(i)
-        acc = 0
-        for j, e in enumerate(row):
-            if e and v[j]:
-                acc = add(acc, mul(e, v[j]))
-        out.append(acc)
-    return out
 
 
 def _unrank_combination(m: int, k: int, idx: int) -> tuple[int, ...]:

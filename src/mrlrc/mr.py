@@ -31,9 +31,9 @@ walk of the structured verifier for h >= 3), since when it holds every
 pattern passes; the patterns are walked (_block_walk) only when it
 fails, to find the first failure, and for h <= 2 that walk decides a
 block whole from its tables' key sets, walking pattern by pattern only
-the blocks that test leaves open.  Every rank computation, determinant
-and subset check goes through the shared kernel in linalg, or for F_2
-generators packed into ints through its XOR basis (_xor_rank).
+the blocks that test leaves open.  Every rank computation and subset
+check goes through the shared kernel in linalg, or for F_2 generators
+packed into ints through its XOR basis (_xor_rank).
 
 The erasure codec decodes an erased set densely the first time it sees
 it and from a cached decode plan when the set comes back, with the
@@ -54,7 +54,6 @@ from .errors import BudgetError, ParameterError
 from .gf import FieldTower
 from .linalg import (
     FieldMatrix,
-    det,
     first_dependent_subset,
     is_mds_parity_check,
     kernel,
@@ -165,32 +164,6 @@ def moore_matrix(t: FieldTower, alphas, h: int) -> FieldMatrix:
     for _ in range(1, h):
         rows.append([t.frobenius(x, 1) for x in rows[-1]])
     return FieldMatrix.from_rows(t, "top", rows)
-
-
-def moore_det(t: FieldTower, alphas) -> int:
-    """Determinant of the square Moore matrix on alphas.
-
-    Computed twice: as the product of c_1 a_1 + ... + c_i-1 a_i-1 + a_i
-    over all direction vectors with last nonzero entry 1, and by
-    linalg.det on the assembled matrix; the two must agree.
-    """
-    alphas = list(alphas)
-    h = len(alphas)
-    F = t.field("top")
-    q = t.q
-    prod = 1
-    for i in range(h):
-        for cs in product(range(q), repeat=i):
-            acc = alphas[i]
-            for c, a in zip(cs, alphas):
-                if c:
-                    acc = F.add(acc, F.mul(c, a))
-            prod = F.mul(prod, acc)
-    if prod != det(moore_matrix(t, alphas, h)):
-        raise AssertionError(
-            "Moore determinant formula disagrees with elimination"
-        )
-    return prod
 
 
 # -- construction ------------------------------------------------------

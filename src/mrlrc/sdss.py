@@ -405,18 +405,21 @@ def mds_construct(t: FieldTower, n: int, r: int, h: int,
                   budget: int | None = None) -> SubspaceSystem:
     """System with the optimal ambient dimension m = h*r, from the
     parity check of a q^r-ary [n, n-h, h+1] MDS code: group i is the
-    F_q-expansion of the scalar multiples of the i-th parity column."""
+    F_q-expansion of the scalar multiples of the i-th parity column.
+    The code needs more columns than its h parity rows, so for n = h it
+    has h + 1 and the system keeps the first n groups."""
     from .codes import pi_rows, rs_parity_check
 
     q = t.q
-    if not 1 <= h < n:
-        raise ParameterError("need 1 <= h < n")
-    if n > q**r + 1:
-        raise ParameterError(f"n={n} exceeds q^r+1={q ** r + 1}")
+    if not 1 <= h <= n:
+        raise ParameterError("need 1 <= h <= n")
+    width = max(n, h + 1)
+    if width > q**r + 1:
+        raise ParameterError(f"n={width} exceeds q^r+1={q ** r + 1}")
     if t.m != h * r:
         raise ParameterError(f"ambient tower must have extension degree h*r={h * r}")
     helper = make_tower(t.p, t.a, r)
-    H = rs_parity_check(helper, "top", n, h)
+    H = rs_parity_check(helper, "top", width, h)
     basis = [[tuple(v) for v in pi_rows(helper, H.column(i))] for i in range(n)]
     return _certify(SubspaceSystem(t, n, r, h, basis), budget)
 

@@ -18,7 +18,6 @@ from mrlrc.cli import main as cli_main
 from mrlrc.codes import (
     BlockCode,
     bch_parity_check,
-    block_distance_at_least,
     block_min_distance,
     LinearCode,
 )
@@ -32,7 +31,6 @@ from mrlrc.mr import (
     encode,
     erase_decode,
     generator_from_parity,
-    moore_det,
     pattern_at,
     pattern_count,
     verify_mr,
@@ -46,6 +44,7 @@ from mrlrc.sdss import (
     restrict,
     to_block_code,
 )
+from oracles import block_distance_at_least, moore_det
 
 Q_SHAPES = ((2, 1), (3, 1), (2, 2))
 

@@ -262,6 +262,9 @@ def test_huge_field_parameters_exit_2_at_once(tmp_path, capsys, argv, message):
       "--u", "1"], "h cannot exceed the number of subspaces"),
     (["sdss", "--p", "2", "--r", "2", "--h", "2", "--n", "6", "--sdss", "subfield",
       "--u", "1"], "subfield construction yields n=5 groups, fewer than requested 6"),
+    # n = h takes an RS parity check on h + 1 columns, and names that length
+    (["sdss", "--p", "2", "--r", "1", "--h", "3", "--n", "3", "--sdss", "mds"],
+     "n=4 exceeds q^r+1=3"),
 ])
 def test_bad_system_parameters_exit_2(tmp_path, capsys, argv, message):
     if argv[0] != "bounds":
@@ -399,6 +402,49 @@ def test_bounds_achieved_rechecks_the_system(tmp_path, capsys):
     code, stdout, _ = run(capsys, *argv, "10")
     assert code == 0
     assert stdout.strip().endswith("achieved_m=4")
+
+
+def test_mds_with_n_equal_to_h_certifies_one_system(tmp_path, capsys, monkeypatch):
+    sizes = []
+    real = sdss._certify
+    monkeypatch.setattr(sdss, "_certify",
+                        lambda S, budget=None: sizes.append(S.n) or real(S, budget))
+    code, stdout, _ = run(capsys, "construct", "--p", "2", "--r", "3", "--h", "2",
+                          "--delta", "1", "--n", "2", "--out", str(tmp_path / "c.mr"))
+    assert code == 0
+    assert stdout.splitlines()[0] == "N=6 r=3 h=2 delta=1 ell=2^6 method=direct certified=1"
+    assert sizes == [2]
+
+
+def _sdss_with_trailing_content(tmp_path, capsys, case):
+    """A 3-group system file with more after its vectors: the 5-group
+    file with its header cut to n=3, or the 3-group file plus a line."""
+    system = tmp_path / "system.sdss"
+    n = "5" if case == "more-groups" else "3"
+    run(capsys, "sdss", "--p", "2", "--r", "2", "--h", "2", "--n", n,
+        "--out", str(system))
+    text = system.read_text()
+    if case == "more-groups":
+        assert "\nn=5 " in text
+        text = text.replace("\nn=5 ", "\nn=3 ", 1)
+    else:
+        text += "garbage\n"
+    system.write_text(text)
+    return system
+
+
+@pytest.mark.parametrize("case", ["more-groups", "garbage-line"])
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_sdss_with_trailing_content_exits_2(tmp_path, capsys, case, command):
+    system = str(_sdss_with_trailing_content(tmp_path, capsys, case))
+    if command == "verify":
+        argv = ["verify", "--in", system]
+    else:
+        argv = ["bounds", "--p", "2", "--n", "3", "--r", "2", "--h", "2",
+                "--achieved", system]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == ["error: trailing content after the basis vectors"]
 
 
 def test_encode_decode_round_trip(tmp_path, capsys):

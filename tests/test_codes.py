@@ -10,10 +10,7 @@ from mrlrc.codes import (
     BlockCode,
     LinearCode,
     bch_parity_check,
-    block_distance_at_least,
     block_min_distance,
-    block_weight,
-    pi_expand,
     rs_parity_check,
     subfield_subcode,
     _min_weight,
@@ -21,8 +18,9 @@ from mrlrc.codes import (
 )
 from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
-from mrlrc.linalg import FieldMatrix, is_mds_parity_check, kernel, mat_vec, rank, rref
+from mrlrc.linalg import FieldMatrix, is_mds_parity_check, kernel, rank, rref
 from mrlrc.sdss import subfield_construct
+from oracles import block_distance_at_least, block_weight, mat_vec, pi_expand
 
 
 def brute_codewords(F, gen_rows):

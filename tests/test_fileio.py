@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from mrlrc import fileio
-from mrlrc.codes import LinearCode, rs_parity_check
 from mrlrc.errors import FormatError
 from mrlrc.gf import make_tower
 from mrlrc.linalg import FieldMatrix
@@ -38,17 +37,6 @@ def test_mr_round_trip():
     P2 = fileio.parse_mr(text)
     assert P2.H == P.H and P2.A == P.A and P2.spec == spec
     assert fileio.format_mr(P2) == text
-
-
-def test_code_round_trip():
-    from mrlrc.codes import pi_expand
-
-    t = make_tower(2, 1, 2)
-    B0 = pi_expand(LinearCode.from_parity(rs_parity_check(t, "top", 5, 2)))
-    text = fileio.format_code(B0.code, r_block=2)
-    B = fileio.parse_code(text)
-    assert (B.n_blocks, B.block_size, B.dim) == (5, 2, 6)
-    assert B.code.parity_matrix() == B0.code.parity_matrix()
 
 
 def test_vector_round_trip():

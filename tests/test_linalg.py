@@ -20,13 +20,13 @@ from mrlrc.linalg import (
     first_dependent_subset,
     is_mds_parity_check,
     kernel,
-    mat_vec,
     matmul,
     rank,
     rref,
     solve,
     vec_mat,
 )
+from oracles import mat_vec
 
 F2 = make_tower(2)
 F4T = make_tower(2, 1, 2)

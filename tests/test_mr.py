@@ -11,7 +11,7 @@ from mrlrc import mr
 from mrlrc.codes import bch_parity_check, rs_parity_check
 from mrlrc.errors import BudgetError, ParameterError
 from mrlrc.gf import make_tower
-from mrlrc.linalg import FieldMatrix, mat_vec, matmul, vec_mat, _rank_rows
+from mrlrc.linalg import FieldMatrix, matmul, vec_mat, _rank_rows
 from mrlrc.mr import (
     ErasurePattern,
     MrCodeSpec,
@@ -23,13 +23,13 @@ from mrlrc.mr import (
     erase_decode,
     generator_from_parity,
     local_parity_check,
-    moore_det,
     moore_matrix,
     pattern_at,
     pattern_count,
     verify_mr,
 )
 from mrlrc.sdss import gv_greedy, mds_construct
+from oracles import mat_vec, moore_det
 
 
 def is_moore(t, M) -> bool:
