@@ -17,8 +17,6 @@ The options of every command are one table, ``_COMMANDS``, read by
 be most of the start-up of a command.
 """
 
-from __future__ import annotations
-
 import sys
 
 from . import fileio, mr, sdss

@@ -16,10 +16,7 @@ top field, only in `pi_rows`.  The pi-expansion of a whole code and the
 block weight of one vector are test oracles (tests/oracles.py).
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
-from math import comb
 
 from . import config
 from .errors import BudgetError, ParameterError
@@ -32,7 +29,7 @@ from .gf import (
     _lanes,
     make_tower,
 )
-from .linalg import FieldMatrix, first_dependent_subset, kernel, matmul, rank, rref
+from .linalg import FieldMatrix, comb, first_dependent_subset, kernel, matmul, rank, rref
 
 
 class LinearCode:

@@ -5,11 +5,23 @@ budgets below bound those enumerations so a bad parameter choice fails
 fast instead of running for hours.  The environment variable
 ``MRLRC_BUDGET`` overrides both enumeration budgets; explicit ``budget=``
 arguments override everything.
+
+The variable is read from ``posix.environ``, the bytes-keyed dict that
+``os.environ`` writes through, so a change made through ``os.environ``
+is seen.  Importing ``os`` (with ``posixpath``, ``stat`` and
+``_collections_abc``) for this one read would take up a third of the
+start-up of every command; ``os.environ`` is read only where there is
+no ``posix``.
 """
 
-from __future__ import annotations
+try:
+    from posix import environ as _ENVIRON
 
-import os
+    _ENV = b"MRLRC_BUDGET"
+except ImportError:
+    from os import environ as _ENVIRON
+
+    _ENV = "MRLRC_BUDGET"
 
 # Largest number of subsets / erasure patterns an exhaustive check will walk.
 SUBSET_BUDGET = 10**7
@@ -24,15 +36,14 @@ SIZE_CAP = 2**24
 # polynomial arithmetic.
 TABLE_CAP = 2**20
 
-_ENV = "MRLRC_BUDGET"
-
 
 def _env_budget() -> int | None:
-    raw = os.environ.get(_ENV)
+    raw = _ENVIRON.get(_ENV)
     if raw is None:
         return None
     try:
-        value = int(raw)
+        # int() of bytes takes ASCII digits only, int() of str any digits
+        value = int(raw.decode() if isinstance(raw, bytes) else raw)
     except ValueError:
         return None
     return value if value > 0 else None

@@ -14,8 +14,6 @@ The sdss and mr parsers refuse anything after the vectors or blocks
 that their header declares.
 """
 
-from __future__ import annotations
-
 from .errors import FormatError
 from .gf import parse_tower_line, tower_line
 from .linalg import FieldMatrix

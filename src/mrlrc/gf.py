@@ -41,8 +41,6 @@ the Zech table last: a thread that finds exp set also finds log, and
 one that finds the Zech table finds all three.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate, count, islice
 
 from . import config

@@ -11,11 +11,7 @@ must stay independent: MDS column checks, direct sums of subspaces,
 block distances.
 """
 
-from __future__ import annotations
-
-from bisect import bisect_right
 from itertools import combinations
-from math import comb
 
 from .errors import ParameterError
 from .gf import Field, FieldTower, _undigits
@@ -301,6 +297,31 @@ def vec_mat(v, M: FieldMatrix) -> list[int]:
     return acc
 
 
+def comb(n: int, k: int) -> int:
+    """C(n, k) as `math.comb` gives it: 0 for k > n, ValueError on a
+    negative argument.  Every caller counts subsets or fills a table,
+    so loading `math`, a shared library, at start-up is not worth it."""
+    if n < 0:
+        raise ValueError("n must be a non-negative integer")
+    if k < 0:
+        raise ValueError("k must be a non-negative integer")
+    if k > n:
+        return 0
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+    return c
+
+
+def prod(values) -> int:
+    """The product of `values`, 1 if there are none (`math.prod`)."""
+    p = 1
+    for v in values:
+        p *= v
+    return p
+
+
 def _unrank_combination(m: int, k: int, idx: int) -> tuple[int, ...]:
     """idx-th k-subset of range(m) in lexicographic order."""
     return next(_strided_combinations(range(m), k, 1, idx))
@@ -335,6 +356,8 @@ def _strided_combinations(pool, k: int, step: int = 1, first: int = 0):
     if step == 1 and first == 0:
         yield from combinations(pool, k)
         return
+    from bisect import bisect_right  # only here: it loads a C extension
+
     tables = _comb_tables(m, k)
     total = tables[k][m]
     last = m - 1

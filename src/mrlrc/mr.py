@@ -40,13 +40,10 @@ it and from a cached decode plan when the set comes back, with the
 dense decoder kept as the reference (see erase_decode).
 """
 
-from __future__ import annotations
-
 # threading.Lock is this lock; importing threading would add to the
 # start-up time and memory of every mrlrc command
 from _thread import allocate_lock
 from itertools import combinations, product
-from math import comb, prod
 from time import perf_counter
 
 from . import config
@@ -54,9 +51,11 @@ from .errors import BudgetError, ParameterError
 from .gf import FieldTower
 from .linalg import (
     FieldMatrix,
+    comb,
     first_dependent_subset,
     is_mds_parity_check,
     kernel,
+    prod,
     solve,
     vec_mat,
     _echelonize,

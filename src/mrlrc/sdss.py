@@ -7,13 +7,10 @@ subfield-based), the equivalence with block codes, and the lower/upper
 bounds on the least ambient dimension.
 """
 
-from __future__ import annotations
-
 # operator.mul is this function; importing operator would add to the
 # start-up time of every mrlrc command
 from _operator import mul
 from itertools import combinations
-from math import comb
 
 from . import config
 from .codes import BlockCode, LinearCode, block_min_distance, subfield_subcode
@@ -21,6 +18,7 @@ from .errors import BudgetError, ParameterError
 from .gf import FieldTower, _counting_steps, _digits, _lane_add, _lane_layout, make_tower
 from .linalg import (
     FieldMatrix,
+    comb,
     first_dependent_subset,
     kernel,
     rref,

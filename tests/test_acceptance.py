@@ -56,8 +56,6 @@ def grid_points():
             for delta in range(1, r):
                 for h in (1, 2):
                     for n in range(2, 7):
-                        if h >= n:
-                            continue  # the MDS system needs h < n
                         if n > q**r + 1:
                             continue
                         if n * r - n * delta - h < 1:

@@ -761,20 +761,52 @@ def test_cli_import_leaves_out_dataclasses_and_pathlib(tmp_path):
     assert proc.stdout == "[]\n"
 
 
-def test_cli_import_loads_only_these_standard_modules(tmp_path):
-    # each command starts a fresh interpreter: functools, collections,
-    # operator and types (with keyword and reprlib) once took about as
-    # long to import as mrlrc's own modules
+def _standard_modules_loaded_by(module, tmp_path):
     code = (f"import sys; sys.path.insert(0, {str(Path(mrlrc.__file__).parents[1])!r}); "
-            "before = set(sys.modules); import mrlrc.cli; "
+            f"before = set(sys.modules); import {module}; "
             "print(sorted(m for m in set(sys.modules) - before "
             "if m.partition('.')[0] != 'mrlrc'))")
     proc = _child(["-I", "-S", "-c", code], tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == str(sorted([
-        "os", "os.path", "posixpath", "genericpath", "stat", "_stat", "_collections_abc",
-        "itertools", "math", "bisect", "_bisect", "_operator", "__future__",
-    ])) + "\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_only_these_standard_modules(tmp_path):
+    # each command starts a fresh interpreter: functools, collections,
+    # operator and types (with keyword and reprlib) once took about as
+    # long to import as mrlrc's own modules, and os (with posixpath,
+    # stat and _collections_abc), math, bisect and __future__ later took
+    # about 40 % of the import; both modules left are built into the
+    # interpreter
+    assert _standard_modules_loaded_by("mrlrc.cli", tmp_path) == "['_operator', 'itertools']\n"
+
+
+def test_package_import_loads_only_these_standard_modules(tmp_path):
+    assert _standard_modules_loaded_by("mrlrc", tmp_path) == "['_operator', 'itertools']\n"
+
+
+def test_a_fresh_interpreter_takes_the_budget_from_its_environment(tmp_path, capsys,
+                                                                  monkeypatch):
+    # config reads MRLRC_BUDGET from posix.environ: a child that never
+    # imports os must still see it.  C(5, 2) = 10 subsets, so a budget
+    # of 3 leaves only a sampled certification
+    args = ["construct", "--p", "2", "--r", "2", "--h", "2", "--delta", "1", "--n", "5"]
+    monkeypatch.delenv("MRLRC_BUDGET", raising=False)
+    flag = run(capsys, *args, "--budget", "3", "--out", str(tmp_path / "a.mr"))
+    assert flag[0] == 0 and "certified=0" in flag[1].splitlines()[0]
+    code = (f"import sys; sys.path.insert(0, {str(Path(mrlrc.__file__).parents[1])!r}); "
+            "from mrlrc.cli import main; rc = main(sys.argv[1:]); "
+            "assert 'os' not in sys.modules; sys.exit(rc)")
+    child = ["-I", "-S", "-c", code, *args, "--out", "b.mr"]
+    monkeypatch.setenv("MRLRC_BUDGET", "3")
+    proc = _child(child, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == flag[1]
+    assert (tmp_path / "b.mr").read_bytes() == (tmp_path / "a.mr").read_bytes()
+    monkeypatch.delenv("MRLRC_BUDGET")
+    proc = _child(child, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "certified=1" in proc.stdout.splitlines()[0]
 
 
 def test_parse_returns_a_simple_namespace():

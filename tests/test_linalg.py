@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -17,10 +17,12 @@ from mrlrc.linalg import (
     _unrank_combination,
     _xor_rank,
     columns_independent,
+    comb,
     first_dependent_subset,
     is_mds_parity_check,
     kernel,
     matmul,
+    prod,
     rank,
     rref,
     solve,
@@ -189,6 +191,26 @@ def test_is_mds_parity_check_errors():
         is_mds_parity_check(M, 0)  # rows != delta
 
 
+def test_comb_matches_math_comb():
+    for n in range(71):
+        for k in range(n + 3):
+            assert comb(n, k) == math.comb(n, k), (n, k)
+    for n, k in ((-1, 0), (0, -1), (-2, -3), (5, -1), (-5, 2)):
+        with pytest.raises(ValueError) as mine:
+            comb(n, k)
+        with pytest.raises(ValueError) as theirs:
+            math.comb(n, k)
+        assert str(mine.value) == str(theirs.value)
+
+
+def test_prod_matches_math_prod():
+    rng = random.Random(5)
+    for _ in range(40):
+        values = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 8))]
+        assert prod(iter(values)) == math.prod(values)
+    assert prod([]) == math.prod([]) == 1
+
+
 def test_unrank_combination_matches_lexicographic_order():
     for m, k in ((5, 2), (7, 3), (6, 6), (4, 1)):
         for idx, sel in enumerate(combinations(range(m), k)):
@@ -198,7 +220,7 @@ def test_unrank_combination_matches_lexicographic_order():
 def test_comb_tables_are_memoised_within_16_entries():
     keys = [(m, k) for m in range(8) for k in range(m + 1)]  # 36 keys
     for m, k in keys + keys[::-1]:
-        want = tuple(tuple(comb(c, s) for c in range(m + 1)) for s in range(k + 1))
+        want = tuple(tuple(math.comb(c, s) for c in range(m + 1)) for s in range(k + 1))
         assert _comb_tables(m, k) == want
         assert _comb_tables(m, k) is _comb_tables(m, k)
         assert len(linalg._COMB_TABLES) <= 16
